@@ -16,9 +16,11 @@
 #include <vector>
 
 #include "core/config.hpp"
+#include "core/hit.hpp"
 #include "dbgen/protein_gen.hpp"
 #include "dbgen/query_gen.hpp"
 #include "io/fasta.hpp"
+#include "serve/service.hpp"
 #include "simmpi/netmodel.hpp"
 #include "simmpi/runtime.hpp"
 #include "simmpi/trace.hpp"
@@ -101,6 +103,26 @@ inline void add_common_options(Cli& cli, std::int64_t default_queries = 120) {
   cli.add_string("trace-out", "",
                  "write a Chrome trace-event JSON (+ .iterations.csv) of one "
                  "representative traced run to this path");
+}
+
+/// Abort unless every query published in `outcomes` carries exactly the
+/// serial engine's hit list (score, protein, offset, length, ion end) and
+/// every unpublished (shed) query carries none. `cell` names the run.
+inline void check_published_hits(
+    const QueryHits& got, const QueryHits& serial,
+    const std::vector<serve::QueryOutcome>& outcomes, const std::string& cell) {
+  MSP_CHECK_MSG(got.size() == serial.size() && outcomes.size() == serial.size(),
+                cell << ": hit lists cover the wrong number of queries");
+  for (std::size_t q = 0; q < serial.size(); ++q) {
+    if (outcomes[q].complete_s < 0.0) {
+      MSP_CHECK_MSG(got[q].empty(), cell << ": unpublished query " << q
+                                         << " has hits");
+      continue;
+    }
+    MSP_CHECK_MSG(got[q] == serial[q],
+                  cell << ": query " << q
+                       << " hit list differs from the serial engine");
+  }
 }
 
 /// `base` with `.tag` inserted before the extension (or appended):

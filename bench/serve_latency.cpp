@@ -19,13 +19,16 @@
 // (steps_visited / steps_skipped per batch, so the skip-ratio column can be
 // re-derived from the per-batch rows), plus a head-to-head block at the
 // saturating rate. The default precursor window is narrow (--tolerance),
-// the regime mass routing exists for; hits are bit-identical across modes.
+// the regime mass routing exists for. Every cell's published hit lists are
+// checked against the serial engine (SearchEngine::search); the bench
+// aborts on any mismatch.
 // All numbers are deterministic: the same invocation writes byte-identical
 // JSON on every machine and kernel_threads setting.
 #include <algorithm>
 #include <iostream>
 
 #include "bench/common.hpp"
+#include "core/search_engine.hpp"
 #include "serve/service.hpp"
 #include "util/json.hpp"
 #include "util/table.hpp"
@@ -71,6 +74,8 @@ int main(int argc, char** argv) {
       static_cast<std::size_t>(cli.get_int("sequences")));
   msp::SearchConfig config = msp::bench::bench_config();
   config.tolerance_da = cli.get_double("tolerance");
+  const msp::QueryHits serial = msp::SearchEngine(config).search(
+      msp::read_fasta_string(image), workload.queries);
 
   msp::serve::ServiceOptions base;
   base.arrivals.kind =
@@ -120,6 +125,9 @@ int main(int argc, char** argv) {
       msp::serve::ServiceResult result = msp::serve::run_service(
           runtime, image, workload.queries, config, options);
       trace.write(result.report);
+      msp::bench::check_published_hits(
+          result.hits, serial, result.outcomes,
+          std::string(modes[m].name) + " at " + std::to_string(rate) + " q/s");
 
       table.add_row({std::to_string(rate), modes[m].name,
                      std::to_string(result.completed),
@@ -172,7 +180,7 @@ int main(int argc, char** argv) {
   // Head-to-head at the saturating rate: the continuous ring must sustain a
   // multiple of the naive throughput, and mass routing a multiple of the
   // unrouted ring — the amortization and routing claims this bench exists
-  // to measure. Hits are bit-identical across all three.
+  // to measure. Hits match the serial engine in all three (checked above).
   const msp::serve::ServiceResult& naive = head_to_head[0];
   const msp::serve::ServiceResult& multi = head_to_head[1];
   const msp::serve::ServiceResult& routed = head_to_head[2];

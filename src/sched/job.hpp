@@ -73,10 +73,12 @@ struct JobSpec {
   /// equivalent standalone run (the oracle the tests compare against).
   Algorithm algorithm = Algorithm::kAlgorithmA;
   /// kServe: this session's arrival process (times relative to submit_s),
-  /// batching, and admission policy.
+  /// batching, admission policy, and how its closed batches enter the ring
+  /// (kBatchAtATime: one batch at a time, only onto an empty ring).
   serve::ArrivalModel arrivals;
   serve::BatchPolicy batch;
   serve::AdmissionPolicy admission;
+  serve::DispatchMode mode = serve::DispatchMode::kMultiBatchRing;
   /// kPack: deterministic build slices (each charges compute+io on every
   /// rank, then fences). Progress needs pack_slices boundary gaps.
   std::size_t pack_slices = 0;

@@ -5,6 +5,7 @@
 #include <deque>
 #include <limits>
 #include <optional>
+#include <tuple>
 #include <utility>
 
 #include "core/search_engine.hpp"
@@ -54,9 +55,10 @@ struct FlightRec {
   bool active = false;
 };
 
-/// The replicated scheduler controller (the serve-layer Controller
-/// generalized to a job mix; see the header comment for the decision
-/// rules). One instance per rank, identical inputs, identical trajectory.
+/// The replicated scheduler controller — the repo's one control plane;
+/// run_service is a one-job mix of it (see the header comment for the
+/// decision rules). One instance per rank, identical inputs, identical
+/// trajectory.
 class SchedController {
  public:
   SchedController(sim::Comm& comm, const SchedOptions& options,
@@ -137,22 +139,29 @@ class SchedController {
                           "at boundary " + std::to_string(step_hint(now)));
   }
 
-  /// Flights to admit at this boundary: every ready serve batch, then —
-  /// when the ring is serve-quiet and the gap fits — backfill chunks from
-  /// the fair-share-ranked batch jobs.
-  std::vector<ServiceBatch> take_dispatch(double now) {
+  /// Flights to admit at this boundary onto a ring holding `in_flight`
+  /// flights: every ready serve batch (a kBatchAtATime job dispatches one,
+  /// and only onto an empty ring), then — when the ring is serve-quiet and
+  /// the gap fits — backfill chunks from the fair-share-ranked batch jobs.
+  std::vector<ServiceBatch> take_dispatch(double now, std::size_t in_flight) {
     std::vector<ServiceBatch> out;
+    bool serve_held = false;
     // Serve batches first, in job order (replicated, hence deterministic).
     for (std::size_t j = 0; j < jobs_.size(); ++j) {
       JobRt& job = jobs_[j];
       if (!job.live() || job.spec->kind != JobKind::kServe) continue;
       while (!job.ready.empty()) {
+        if (job.spec->mode == serve::DispatchMode::kBatchAtATime &&
+            in_flight + out.size() > 0) {
+          serve_held = true;
+          break;
+        }
         out.push_back(make_flight(j, std::move(job.ready.front()), now,
                                   /*is_serve=*/true, /*backfilled=*/false));
         job.ready.pop_front();
       }
     }
-    const bool serve_quiet = serve_flights_ == 0 && out.empty();
+    const bool serve_quiet = serve_flights_ == 0 && out.empty() && !serve_held;
     if (!serve_quiet) return out;
 
     // Backfill window: with backfill on, a chunk fits iff its predicted
@@ -248,11 +257,16 @@ class SchedController {
         --batch_flights_;
       job.inflight -= batch.query_ids.size();
       job.completed_queries += batch.query_ids.size();
-      for (const std::size_t id : batch.query_ids)
+      for (const std::size_t id : batch.query_ids) {
+        MSP_CHECK_MSG(outcomes_[id].complete_s < 0.0,
+                      "query " << id << " published twice");
         outcomes_[id].complete_s = out.boundary_time;
+      }
       if (flight.is_serve) job.admission->release(batch.query_ids.size());
       ledger_.charge(job.tenant,
                      static_cast<double>(batch.query_ids.size()));
+      batch_routes_.push_back(serve::BatchRouteStats{
+          batch.batch_id, batch.steps_visited, batch.steps_skipped});
     }
     for (const std::size_t id : out.orphaned) {
       JobRt& job = jobs_[owner_of(id)];
@@ -270,6 +284,25 @@ class SchedController {
     for (const JobRt& job : jobs_)
       if (!job.completed) return false;
     return true;
+  }
+
+  /// Some query-backed job still holds work that has not reached the ring
+  /// (unsubmitted, pending, arrivals left, waiting, orphans, batcher
+  /// pending, or ready) — the ring's prefetch hint: without it, an unrouted
+  /// ring whose last flights are finishing fetches a band it never scores.
+  bool work_pending() const {
+    for (std::size_t j = 0; j < jobs_.size(); ++j) {
+      const JobRt& job = jobs_[j];
+      if (job.spec->kind == JobKind::kPack || job.completed) continue;
+      if (!job.submitted || !job.pending.empty() || !job.waiting.empty() ||
+          !job.orphans.empty() || !job.ready.empty())
+        return true;
+      if (job.spec->kind == JobKind::kServe &&
+          (job.next_arrival < serve_arrivals_[j].size() ||
+           job.batcher->pending() > 0))
+        return true;
+    }
+    return false;
   }
 
   /// Next control-plane instant the idle ring must wake for: an
@@ -302,6 +335,7 @@ class SchedController {
 
   // ---- end-of-run exports (rank 0 copies these out) ----
   std::vector<serve::QueryOutcome>& outcomes() { return outcomes_; }
+  std::vector<serve::BatchRouteStats>& batch_routes() { return batch_routes_; }
   const std::vector<JobRt>& jobs() const { return jobs_; }
   const TenantLedger& ledger() const { return ledger_; }
   std::size_t batches_admitted() const { return flights_.size(); }
@@ -332,9 +366,10 @@ class SchedController {
     (void)now;
   }
 
-  /// The serve-layer boundary replay, scoped to one job's session (same
-  /// event order: orphans, freed-capacity drain, then arrivals and batch
-  /// deadlines interleaved with deadline-before-arrival ties).
+  /// One serve job's boundary replay, in event order: crash orphans,
+  /// freed-capacity drain of delayed admissions, then arrivals and batch
+  /// deadlines interleaved, the deadline first on a tie (so a
+  /// deadline-closed batch never absorbs a query arriving at its close).
   void replay_serve(std::size_t j, double now) {
     JobRt& job = jobs_[j];
     const std::vector<double>& arrivals = serve_arrivals_[j];
@@ -384,6 +419,8 @@ class SchedController {
     for (auto& ids : job.batcher->take_closed())
       job.ready.push_back(std::move(ids));
 
+    const std::string depth =
+        " (outstanding " + std::to_string(job.admission->outstanding()) + ")";
     if (admitted + readmitted > 0)
       comm_.trace_serve(sim::SpanKind::kServeAdmit,
                         "job " + job.spec->name + ": admitted " +
@@ -391,11 +428,12 @@ class SchedController {
                             (readmitted > 0 ? " +" +
                                                   std::to_string(readmitted) +
                                                   " re-admitted"
-                                            : std::string()));
+                                            : std::string()) +
+                            depth);
     if (shed > 0)
       comm_.trace_serve(sim::SpanKind::kServeShed,
                         "job " + job.spec->name + ": shed " +
-                            std::to_string(shed));
+                            std::to_string(shed) + depth);
   }
 
   void retire_completed(double now) {
@@ -542,6 +580,7 @@ class SchedController {
   std::vector<JobRt> jobs_;
   std::vector<serve::QueryOutcome> outcomes_;
   std::vector<FlightRec> flights_;
+  std::vector<serve::BatchRouteStats> batch_routes_;  ///< publication order
   std::size_t serve_flights_ = 0;
   std::size_t batch_flights_ = 0;
   std::size_t preemptions_ = 0;
@@ -553,6 +592,7 @@ class SchedController {
 
 struct BodyOutput {
   std::vector<serve::QueryOutcome> outcomes;
+  std::vector<serve::BatchRouteStats> batch_routes;
   std::vector<JobOutcome> jobs;
   std::vector<TenantAccounting> tenants;
   std::size_t batches = 0;
@@ -575,11 +615,12 @@ void sched_body(sim::Comm& comm, const std::string& fasta_image,
                    options.route_bucket_da);
   SchedController ctl(comm, options, submits, serve_arrivals, queries.size());
 
-  // The scheduler event loop: the serve loop of src/serve/service.cpp with
-  // three new boundary decisions (preempt, backfill, pack slice). Every
-  // `boundary` value is fence-aligned — the post-construction barrier, a
-  // step's boundary time, a pack slice's post-barrier clock, an idle
-  // target — never a raw clock read after divergent per-rank charges.
+  // The event loop: admit, step, idle-until, with three scheduler
+  // decisions at each boundary (preempt, dispatch/backfill, pack slice).
+  // Every `boundary` value is fence-aligned — the post-construction
+  // barrier, a step's boundary time, a pack slice's post-barrier clock, an
+  // idle target — never a raw clock read after divergent per-rank charges,
+  // which is what keeps the replicated controllers in lockstep.
   double boundary = comm.clock().now();
   for (;;) {
     ctl.boundary(boundary);
@@ -587,7 +628,8 @@ void sched_body(sim::Comm& comm, const std::string& fasta_image,
       const std::vector<std::size_t> ids = ring.preempt(victim);
       ctl.requeue_preempted(victim, ids, boundary);
     }
-    for (ServiceBatch& batch : ctl.take_dispatch(boundary)) ring.admit(batch);
+    for (ServiceBatch& batch : ctl.take_dispatch(boundary, ring.in_flight()))
+      ring.admit(batch);
 
     if (ring.in_flight() == 0) {
       if (ctl.drained()) break;
@@ -612,7 +654,7 @@ void sched_body(sim::Comm& comm, const std::string& fasta_image,
     }
 
     const bool serve_was_quiet = ctl.serve_flights() == 0;
-    const ServiceStepOutcome out = ring.step(!ctl.drained());
+    const ServiceStepOutcome out = ring.step(ctl.work_pending());
     ctl.on_step(out, boundary, serve_was_quiet);
     boundary = out.boundary_time;
   }
@@ -644,6 +686,7 @@ void sched_body(sim::Comm& comm, const std::string& fasta_image,
     }
 
     output.outcomes = std::move(ctl.outcomes());
+    output.batch_routes = std::move(ctl.batch_routes());
     output.batches = ctl.batches_admitted();
     output.preemptions = ctl.preemptions();
     output.backfill_chunks = ctl.backfill_chunks();
@@ -720,6 +763,61 @@ void validate(const std::vector<Spectrum>& queries,
                             "exactly one owner");
 }
 
+/// Conservation over a finished run: every query of a query-backed job is
+/// either published exactly once or shed, never both, and the per-tenant
+/// ledgers and run totals balance against the per-job counters.
+void check_conservation(const SchedOptions& options,
+                        const SchedResult& result) {
+  TenantAccounting jobs_sum;
+  for (std::size_t j = 0; j < options.jobs.size(); ++j) {
+    const JobSpec& spec = options.jobs[j];
+    const JobOutcome& job = result.jobs[j];
+    jobs_sum.jobs_submitted += 1;
+    jobs_sum.queries_completed += job.queries_completed;
+    jobs_sum.queries_shed += job.queries_shed;
+    jobs_sum.preemptions += job.preemptions;
+    jobs_sum.backfill_chunks += job.backfill_chunks;
+    jobs_sum.pack_slices += job.pack_slices_done;
+    if (spec.kind == JobKind::kPack) continue;
+    std::size_t completed = 0;
+    std::size_t shed = 0;
+    for (std::size_t id = spec.query_begin; id < spec.query_end; ++id) {
+      const serve::QueryOutcome& outcome = result.outcomes[id];
+      MSP_CHECK_MSG(!(outcome.shed && outcome.complete_s >= 0.0),
+                    "query " << id << " both shed and completed");
+      if (outcome.complete_s >= 0.0) ++completed;
+      if (outcome.shed) ++shed;
+    }
+    MSP_CHECK_MSG(completed == job.queries_completed &&
+                      shed == job.queries_shed &&
+                      completed + shed == spec.query_count(),
+                  "job " << spec.name << ": outcomes show " << completed
+                         << " completed + " << shed << " shed, the job "
+                         << job.queries_completed << " + " << job.queries_shed
+                         << ", of " << spec.query_count() << " queries");
+  }
+  TenantAccounting tenants_sum;
+  for (const TenantAccounting& tenant : result.tenants) {
+    tenants_sum.jobs_submitted += tenant.jobs_submitted;
+    tenants_sum.queries_completed += tenant.queries_completed;
+    tenants_sum.queries_shed += tenant.queries_shed;
+    tenants_sum.preemptions += tenant.preemptions;
+    tenants_sum.backfill_chunks += tenant.backfill_chunks;
+    tenants_sum.pack_slices += tenant.pack_slices;
+  }
+  const auto ledger = [](const TenantAccounting& t) {
+    return std::tie(t.jobs_submitted, t.queries_completed, t.queries_shed,
+                    t.preemptions, t.backfill_chunks, t.pack_slices);
+  };
+  MSP_CHECK_MSG(ledger(tenants_sum) == ledger(jobs_sum),
+                "tenant accounting does not balance against the per-job sums");
+  MSP_CHECK_MSG(result.completed == jobs_sum.queries_completed &&
+                    result.shed == jobs_sum.queries_shed &&
+                    result.preemptions == jobs_sum.preemptions &&
+                    result.backfill_chunks == jobs_sum.backfill_chunks,
+                "run totals do not balance against the per-job sums");
+}
+
 }  // namespace
 
 SchedResult run_sched(const sim::Runtime& runtime,
@@ -756,6 +854,7 @@ SchedResult run_sched(const sim::Runtime& runtime,
   result.report = std::move(report);
   result.hits = std::move(all_hits);
   result.outcomes = std::move(output.outcomes);
+  result.batch_routes = std::move(output.batch_routes);
   result.jobs = std::move(output.jobs);
   result.tenants = std::move(output.tenants);
   result.batches = output.batches;
@@ -796,6 +895,7 @@ SchedResult run_sched(const sim::Runtime& runtime,
       tenant.throughput_qps =
           static_cast<double>(tenant.queries_completed) / result.makespan_s;
   }
+  check_conservation(options, result);
   return result;
 }
 

@@ -2,9 +2,10 @@
 //
 // run_sched() plays a *job mix* — batch searches, latency-sensitive serve
 // sessions, pack/index builds — against one shared serving ring
-// (core/ring_service.hpp). The scheduler is the serving layer's replicated
-// controller generalized from one query stream to many jobs: every rank
-// runs the same controller on the same globally known inputs (job specs,
+// (core/ring_service.hpp). Its replicated controller and event loop are the
+// repo's one control plane: serve::run_service() is a one-job mix (one
+// tenant, one kServe job owning the whole stream). Every rank runs the
+// same controller on the same globally known inputs (job specs,
 // submit schedule, each serve job's arrival schedule, the fault schedule),
 // and every decision — job submission, serve dispatch, backfill admission,
 // preemption, pack slices, fair-share decay — is taken only at
@@ -99,6 +100,8 @@ struct SchedResult {
   std::size_t shed = 0;
   std::size_t batches = 0;  ///< ring flights admitted (serve + chunks)
   int ring_steps = 0;
+  /// Router audit of every published flight, in publication order.
+  std::vector<serve::BatchRouteStats> batch_routes;
   std::size_t preemptions = 0;
   std::size_t backfill_chunks = 0;
   /// Ring time spent on batch-only steps while at least one serve job was

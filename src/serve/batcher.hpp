@@ -11,12 +11,23 @@
 
 #include <cstddef>
 #include <limits>
+#include <string>
 #include <utility>
 #include <vector>
 
 #include "util/error.hpp"
 
 namespace msp::serve {
+
+/// How closed batches enter the serving ring.
+enum class DispatchMode {
+  kBatchAtATime,    ///< naive: one batch owns the ring for a full rotation
+  kMultiBatchRing,  ///< continuous ring scoring all in-flight batches
+};
+
+const char* dispatch_mode_name(DispatchMode mode);
+/// "naive" | "multi"; throws InvalidArgument otherwise.
+DispatchMode dispatch_mode_from_name(const std::string& name);
 
 struct BatchPolicy {
   std::size_t max_batch = 16;  ///< size close threshold
@@ -69,5 +80,19 @@ class AdaptiveBatcher {
   double open_time_ = 0.0;
   std::vector<std::vector<std::size_t>> closed_;
 };
+
+inline const char* dispatch_mode_name(DispatchMode mode) {
+  switch (mode) {
+    case DispatchMode::kBatchAtATime: return "naive";
+    case DispatchMode::kMultiBatchRing: return "multi";
+  }
+  return "?";
+}
+
+inline DispatchMode dispatch_mode_from_name(const std::string& name) {
+  if (name == "naive") return DispatchMode::kBatchAtATime;
+  if (name == "multi") return DispatchMode::kMultiBatchRing;
+  throw InvalidArgument("unknown dispatch mode: " + name);
+}
 
 }  // namespace msp::serve

@@ -1,274 +1,49 @@
 #include "serve/service.hpp"
 
 #include <algorithm>
-#include <deque>
-#include <limits>
 #include <utility>
 
-#include "core/ring_service.hpp"
-#include "core/search_engine.hpp"
-#include "simmpi/comm.hpp"
-#include "util/error.hpp"
+#include "sched/scheduler.hpp"
 
 namespace msp::serve {
-namespace {
-
-constexpr double kNever = std::numeric_limits<double>::infinity();
-
-/// The replicated service controller. One instance per rank, all fed the
-/// same schedules and the same fence-aligned boundary times, so every
-/// instance walks the identical state trajectory — admission, batching,
-/// dispatch, and shed decisions agree on all ranks by construction.
-class Controller {
- public:
-  Controller(sim::Comm& comm, const std::vector<double>& arrivals,
-             const ServiceOptions& options)
-      : comm_(comm),
-        arrivals_(arrivals),
-        options_(options),
-        admission_(options.admission),
-        batcher_(options.batch),
-        outcomes_(arrivals.size()) {}
-
-  /// Advance the control plane to the fence-aligned time `now`: re-admit
-  /// crash orphans, drain delayed admissions into freed capacity, then
-  /// replay arrivals and batch deadlines up to `now` in time order.
-  void boundary(double now) {
-    // Crash orphans re-enter first — they are the stream's oldest unserved
-    // queries and already hold admission capacity (never released).
-    const std::size_t readmitted = orphans_.size();
-    for (const std::size_t id : orphans_) {
-      ++outcomes_[id].redispatches;
-      batcher_.enqueue(id, now);
-    }
-    orphans_.clear();
-
-    // Delayed (kDelay) queries admit oldest-first into capacity freed by
-    // the publications that ended at this boundary.
-    std::size_t admitted = 0;
-    while (!waiting_.empty() && admission_.try_admit()) {
-      const std::size_t id = waiting_.front();
-      waiting_.pop_front();
-      outcomes_[id].admit_s = now;
-      batcher_.enqueue(id, now);
-      ++admitted;
-    }
-
-    // Replay the interleaved event timeline up to `now`. On a tie the batch
-    // deadline fires before the arrival, so a deadline-closed batch never
-    // absorbs a query arriving at its own close instant.
-    std::size_t shed = 0;
-    for (;;) {
-      const double arrival =
-          next_arrival_ < arrivals_.size() ? arrivals_[next_arrival_] : kNever;
-      const double deadline = batcher_.next_deadline();
-      if (std::min(arrival, deadline) > now) break;
-      if (deadline <= arrival) {
-        batcher_.close_due(deadline);
-        continue;
-      }
-      const std::size_t id = next_arrival_++;
-      outcomes_[id].arrival_s = arrival;
-      if (admission_.try_admit()) {
-        outcomes_[id].admit_s = arrival;
-        batcher_.enqueue(id, arrival);
-        ++admitted;
-      } else if (admission_.policy().overload == OverloadPolicy::kShed) {
-        outcomes_[id].shed = true;
-        ++shed;
-      } else {
-        waiting_.push_back(id);
-      }
-    }
-    shed_ += shed;
-
-    for (auto& ids : batcher_.take_closed()) ready_.push_back(std::move(ids));
-
-    if (admitted + readmitted > 0)
-      comm_.trace_serve(
-          sim::SpanKind::kServeAdmit,
-          "admitted " + std::to_string(admitted) +
-              (readmitted > 0
-                   ? " +" + std::to_string(readmitted) + " re-admitted"
-                   : std::string()) +
-              " (outstanding " + std::to_string(admission_.outstanding()) +
-              ")");
-    if (shed > 0)
-      comm_.trace_serve(sim::SpanKind::kServeShed,
-                        "shed " + std::to_string(shed) + " (outstanding " +
-                            std::to_string(admission_.outstanding()) + ")");
-  }
-
-  /// Closed batches to dispatch at this boundary. kMultiBatchRing admits
-  /// everything ready; kBatchAtATime admits one batch only onto an idle
-  /// ring — the naive baseline that pays a full rotation per batch.
-  std::vector<ServiceBatch> take_dispatch(double now, std::size_t in_flight) {
-    std::vector<ServiceBatch> out;
-    while (!ready_.empty()) {
-      if (options_.mode == DispatchMode::kBatchAtATime &&
-          in_flight + out.size() > 0)
-        break;
-      ServiceBatch batch;
-      batch.id = batches_dispatched_++;
-      batch.query_ids = std::move(ready_.front());
-      ready_.pop_front();
-      for (const std::size_t id : batch.query_ids) {
-        outcomes_[id].dispatch_s = now;
-        outcomes_[id].batch_id = batch.id;
-      }
-      out.push_back(std::move(batch));
-    }
-    return out;
-  }
-
-  /// Fold one ring step's outcome back into the control plane.
-  void on_step(const ServiceStepOutcome& out) {
-    for (const PublishedBatch& batch : out.published) {
-      for (const std::size_t id : batch.query_ids)
-        outcomes_[id].complete_s = out.boundary_time;
-      admission_.release(batch.query_ids.size());
-      batch_routes_.push_back(BatchRouteStats{
-          batch.batch_id, batch.steps_visited, batch.steps_skipped});
-    }
-    for (const std::size_t id : out.orphaned) orphans_.push_back(id);
-  }
-
-  /// No more work will ever reach the ring.
-  bool drained() const {
-    return next_arrival_ == arrivals_.size() && waiting_.empty() &&
-           orphans_.empty() && batcher_.pending() == 0 && ready_.empty();
-  }
-
-  /// Next control-plane event (arrival or batch deadline); the idle ring
-  /// sleeps to this instant.
-  double next_event_time() const {
-    const double arrival =
-        next_arrival_ < arrivals_.size() ? arrivals_[next_arrival_] : kNever;
-    return std::min(arrival, batcher_.next_deadline());
-  }
-
-  std::vector<QueryOutcome>& outcomes() { return outcomes_; }
-  std::vector<BatchRouteStats>& batch_routes() { return batch_routes_; }
-  std::size_t shed_count() const { return shed_; }
-  std::size_t batches_dispatched() const { return batches_dispatched_; }
-
- private:
-  sim::Comm& comm_;
-  const std::vector<double>& arrivals_;
-  const ServiceOptions& options_;
-  AdmissionController admission_;
-  AdaptiveBatcher batcher_;
-  std::vector<QueryOutcome> outcomes_;
-  std::size_t next_arrival_ = 0;
-  std::deque<std::size_t> waiting_;  ///< kDelay backpressure queue
-  std::deque<std::size_t> orphans_;  ///< crash orphans awaiting re-admission
-  std::deque<std::vector<std::size_t>> ready_;  ///< closed, undispatched
-  std::vector<BatchRouteStats> batch_routes_;  ///< publication order
-  std::size_t batches_dispatched_ = 0;
-  std::size_t shed_ = 0;
-};
-
-struct BodyOutput {
-  std::vector<QueryOutcome> outcomes;
-  std::vector<BatchRouteStats> batch_routes;
-  std::size_t shed = 0;
-  std::size_t batches = 0;
-  int ring_steps = 0;
-};
-
-void service_body(sim::Comm& comm, const std::string& fasta_image,
-                  const std::vector<Spectrum>& queries,
-                  const std::vector<double>& arrivals,
-                  const SearchEngine& engine, const ServiceOptions& options,
-                  QueryHits& all_hits, BodyOutput& output) {
-  RingService ring(comm,
-                   fasta_image,
-                   std::span<const Spectrum>(queries.data(), queries.size()),
-                   engine, all_hits, options.mass_routing,
-                   options.route_bucket_da);
-  Controller ctl(comm, arrivals, options);
-
-  // The service event loop. `boundary` only ever takes fence-aligned values
-  // (the post-construction barrier, step() boundary times, idle targets) —
-  // never a raw clock read after divergent per-rank charges — which is what
-  // keeps the replicated controllers in lockstep.
-  double boundary = comm.clock().now();
-  for (;;) {
-    ctl.boundary(boundary);
-    for (ServiceBatch& batch : ctl.take_dispatch(boundary, ring.in_flight()))
-      ring.admit(batch);
-
-    if (ring.in_flight() == 0) {
-      if (ctl.drained()) break;
-      // Idle gap: nothing to score until the next arrival or batch
-      // deadline. Advance every clock to that shared instant without
-      // polluting the work buckets.
-      const double next = ctl.next_event_time();
-      MSP_CHECK_MSG(next < kNever, "idle service with no future event");
-      comm.clock().idle_until(next);
-      boundary = std::max(boundary, next);
-      continue;
-    }
-
-    const ServiceStepOutcome out = ring.step(!ctl.drained());
-    ctl.on_step(out);
-    boundary = out.boundary_time;
-  }
-  ring.finish();
-
-  if (comm.rank() == 0) {
-    output.outcomes = std::move(ctl.outcomes());
-    output.batch_routes = std::move(ctl.batch_routes());
-    output.shed = ctl.shed_count();
-    output.batches = ctl.batches_dispatched();
-    output.ring_steps = ring.steps_done();
-  }
-}
-
-}  // namespace
-
-const char* dispatch_mode_name(DispatchMode mode) {
-  switch (mode) {
-    case DispatchMode::kBatchAtATime: return "naive";
-    case DispatchMode::kMultiBatchRing: return "multi";
-  }
-  return "?";
-}
-
-DispatchMode dispatch_mode_from_name(const std::string& name) {
-  if (name == "naive") return DispatchMode::kBatchAtATime;
-  if (name == "multi") return DispatchMode::kMultiBatchRing;
-  throw InvalidArgument("unknown dispatch mode: " + name);
-}
 
 ServiceResult run_service(const sim::Runtime& runtime,
                           const std::string& fasta_image,
                           const std::vector<Spectrum>& queries,
                           const SearchConfig& config,
                           const ServiceOptions& options) {
-  const SearchEngine engine(config);
-  const std::vector<double> arrivals =
-      make_arrivals(options.arrivals, queries.size());
+  // A service session is a one-job mix: one tenant, one serve job that
+  // submits at t = 0 and owns the whole stream.
+  sched::SchedOptions mix;
+  mix.tenants = {{"serve", 1.0, 0}};
+  sched::JobSpec job;
+  job.name = "serve";
+  job.tenant = "serve";
+  job.kind = sched::JobKind::kServe;
+  job.submit_s = 0.0;
+  job.query_begin = 0;
+  job.query_end = queries.size();
+  job.arrivals = options.arrivals;
+  job.batch = options.batch;
+  job.admission = options.admission;
+  job.mode = options.mode;
+  mix.jobs.push_back(std::move(job));
+  mix.mass_routing = options.mass_routing;
+  mix.route_bucket_da = options.route_bucket_da;
+  mix.memory_budget_bytes = options.memory_budget_bytes;
 
-  QueryHits all_hits(queries.size());
-  BodyOutput output;
-
-  sim::RunReport report = runtime.run([&](sim::Comm& comm) {
-    if (options.memory_budget_bytes != 0)
-      comm.set_memory_budget(options.memory_budget_bytes);
-    service_body(comm, fasta_image, queries, arrivals, engine, options,
-                 all_hits, output);
-  });
+  sched::SchedResult run =
+      sched::run_sched(runtime, fasta_image, queries, config, mix);
 
   ServiceResult result;
-  result.candidates = report.sum_counter("candidates");
-  result.report = std::move(report);
-  result.hits = std::move(all_hits);
-  result.outcomes = std::move(output.outcomes);
-  result.batch_routes = std::move(output.batch_routes);
-  result.shed = output.shed;
-  result.batches = output.batches;
-  result.ring_steps = output.ring_steps;
+  result.candidates = run.report.sum_counter("candidates");
+  result.report = std::move(run.report);
+  result.hits = std::move(run.hits);
+  result.outcomes = std::move(run.outcomes);
+  result.batch_routes = std::move(run.batch_routes);
+  result.shed = run.shed;
+  result.batches = run.batches;
+  result.ring_steps = run.ring_steps;
   for (const BatchRouteStats& route : result.batch_routes) {
     result.steps_visited += route.steps_visited;
     result.steps_skipped += route.steps_skipped;
@@ -278,6 +53,8 @@ ServiceResult run_service(const sim::Runtime& runtime,
         static_cast<double>(result.steps_skipped) /
         static_cast<double>(result.steps_visited + result.steps_skipped);
 
+  // The makespan is the last publication, not the job's completion: when
+  // the tail arrivals are shed, the job completes after it.
   std::vector<double> latencies;
   for (const QueryOutcome& outcome : result.outcomes) {
     if (outcome.complete_s < 0.0) continue;

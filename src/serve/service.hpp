@@ -11,13 +11,18 @@
 // every in-flight batch during one database rotation and publishes each
 // batch's top-τ results the moment its last shard is scored.
 //
-// Control is replicated, not centralized: every rank runs the same
-// controller on the same globally-known schedules, and all control
-// decisions are taken at fence-aligned boundaries where the virtual clocks
-// are provably equal — so the ranks agree on every admission, batch close,
-// dispatch, and shed without exchanging a single control message
-// (DESIGN.md §5g). Results, traces, and latency numbers are bit-identical
-// across reruns and kernel thread counts, with or without fault schedules.
+// run_service() is a one-job mix of the cluster scheduler
+// (sched/scheduler.hpp): one tenant, one kServe job submitted at t = 0 that
+// owns the whole query stream. The scheduler's replicated controller and
+// its single event loop do all the work; this layer only maps
+// ServiceOptions onto that job and the SchedResult back. Control is
+// replicated, not centralized: every rank runs the same controller on the
+// same globally-known schedules, and all control decisions are taken at
+// fence-aligned boundaries where the virtual clocks are provably equal — so
+// the ranks agree on every admission, batch close, dispatch, and shed
+// without exchanging a single control message (DESIGN.md §5g). Results,
+// traces, and latency numbers are bit-identical across reruns and kernel
+// thread counts, with or without fault schedules.
 #pragma once
 
 #include <cstddef>
@@ -36,15 +41,6 @@
 #include "spectra/spectrum.hpp"
 
 namespace msp::serve {
-
-enum class DispatchMode {
-  kBatchAtATime,    ///< naive: one batch owns the ring for a full rotation
-  kMultiBatchRing,  ///< continuous ring scoring all in-flight batches
-};
-
-const char* dispatch_mode_name(DispatchMode mode);
-/// "naive" | "multi"; throws InvalidArgument otherwise.
-DispatchMode dispatch_mode_from_name(const std::string& name);
 
 struct ServiceOptions {
   ArrivalModel arrivals;

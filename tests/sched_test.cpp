@@ -477,6 +477,118 @@ TEST(Sched, SimcheckCleanIncludingFaults) {
 }
 
 // ---------------------------------------------------------------------------
+// Unrouted ring: the ring's prefetch hint only acts here, and run_service's
+// naive and multi cells run here, so a mix must stay serial-exact and
+// byte-deterministic without mass routing too.
+
+sched::SchedOptions unrouted(sched::SchedOptions options) {
+  options.mass_routing = false;
+  return options;
+}
+
+TEST(Sched, UnroutedMixMatchesSerialHits) {
+  const Fixture& f = fixture();
+  const sim::Runtime runtime(5);
+  const sched::SchedResult clean = sched::run_sched(
+      runtime, f.image, f.queries, f.config, unrouted(default_mix()));
+  EXPECT_EQ(clean.completed, f.queries.size());
+  expect_hits_equal(clean.hits, f.serial, "unrouted");
+
+  sim::FaultModel faults;
+  faults.crash(2, 3);
+  const sim::Runtime faulty(5, {}, {}, faults);
+  const sched::SchedResult crashed = sched::run_sched(
+      faulty, f.image, f.queries, f.config, unrouted(preempting_mix()));
+  EXPECT_GT(crashed.preemptions, 0u);
+  EXPECT_TRUE(crashed.report.has_fault_activity());
+  EXPECT_EQ(crashed.completed, f.queries.size());
+  expect_hits_equal(crashed.hits, f.serial, "unrouted preempt+crash");
+}
+
+TEST(Sched, UnroutedReportsByteIdenticalAcrossReruns) {
+  const Fixture& f = fixture();
+  sim::FaultModel faults;
+  faults.crash(2, 3);
+  for (const bool crash : {false, true}) {
+    const sim::Runtime runtime(5, {}, {}, crash ? faults : sim::FaultModel{});
+    const sched::SchedOptions options = unrouted(preempting_mix());
+    const sched::SchedResult a =
+        sched::run_sched(runtime, f.image, f.queries, f.config, options);
+    const sched::SchedResult b =
+        sched::run_sched(runtime, f.image, f.queries, f.config, options);
+    const std::string label = crash ? "unrouted crash" : "unrouted clean";
+    expect_hits_equal(b.hits, a.hits, label);
+    EXPECT_EQ(b.report.to_csv(), a.report.to_csv()) << label;
+    EXPECT_EQ(b.makespan_s, a.makespan_s) << label;
+    EXPECT_EQ(b.ring_steps, a.ring_steps) << label;
+  }
+}
+
+// A kBatchAtATime serve job dispatches one batch at a time and only onto
+// an empty ring, even while batch chunks share it: no flight is in the air
+// when one of its batches enters, and no chunk is backfilled while a closed
+// serve batch waits. The serve job outranks nobody (no preemption), its
+// first burst closes two batches mid-chunk, and a second batch job submits
+// while they wait.
+
+TEST(Sched, BatchAtATimeServeJobWaitsForAnEmptyRing) {
+  const Fixture& f = fixture();
+  const sim::Runtime runtime(4);
+  sched::SchedOptions options = unrouted(default_mix());
+  sched::JobSpec& serve = options.jobs[0];
+  serve.mode = serve::DispatchMode::kBatchAtATime;
+  serve.priority = sched::Priority::kLow;
+  serve.submit_s = 0.004;
+  serve.arrivals.kind = serve::ArrivalKind::kBurst;
+  serve.arrivals.burst_size = 8;
+  serve.arrivals.burst_gap_s = 0.2;
+  options.jobs[1].priority = sched::Priority::kLow;
+  options.jobs[2].priority = sched::Priority::kLow;
+  options.jobs[2].submit_s = 0.006;
+  options.chunk_queries = 12;
+  options.step_estimate_init_s = 1e-6;
+  const sched::SchedResult result =
+      sched::run_sched(runtime, f.image, f.queries, f.config, options);
+  EXPECT_EQ(result.completed, f.queries.size());
+  EXPECT_EQ(result.preemptions, 0u);
+  expect_hits_equal(result.hits, f.serial, "batch-at-a-time");
+
+  struct Flight {
+    double dispatch = 0.0;
+    double complete = 0.0;
+    double closed = 0.0;  ///< last member's admission (size close)
+    bool serve = false;
+  };
+  std::map<std::size_t, Flight> flights;
+  for (std::size_t q = 0; q < result.outcomes.size(); ++q) {
+    const serve::QueryOutcome& outcome = result.outcomes[q];
+    Flight& flight = flights[outcome.batch_id];
+    flight.dispatch = outcome.dispatch_s;
+    flight.complete = outcome.complete_s;
+    flight.closed = std::max(flight.closed, outcome.admit_s);
+    flight.serve = q < 12;
+  }
+  std::size_t waited = 0;
+  for (const auto& [id, serve_flight] : flights) {
+    if (!serve_flight.serve) continue;
+    if (serve_flight.dispatch > serve_flight.closed) ++waited;
+    for (const auto& [other_id, other] : flights) {
+      if (other_id == id) continue;
+      EXPECT_FALSE(other.dispatch <= serve_flight.dispatch &&
+                   other.complete > serve_flight.dispatch)
+          << "flight " << other_id << " in the air when serve flight " << id
+          << " dispatched";
+      if (other.serve) continue;
+      EXPECT_FALSE(other.dispatch >= serve_flight.closed &&
+                   other.dispatch < serve_flight.dispatch)
+          << "chunk " << other_id << " backfilled while serve flight " << id
+          << " waited";
+    }
+  }
+  EXPECT_GT(waited, 0u) << "no serve batch ever waited for the ring";
+}
+
+// ---------------------------------------------------------------------------
 // Spec validation and name round-trips.
 
 TEST(Sched, RejectsMalformedMixes) {
