@@ -11,6 +11,7 @@
 
 #include <fstream>
 #include <iostream>
+#include <iterator>
 #include <string>
 #include <utility>
 #include <vector>
@@ -206,6 +207,40 @@ inline void write_json_summary(const std::string& path,
   MSP_CHECK_MSG(out.good(), "cannot open JSON output " << path);
   out << json;
   std::cout << "wrote " << path << "\n";
+}
+
+/// Append `entry` (a JSON object) to the trajectory JSON array at `path`
+/// (skipped when `path` is empty), creating the array on first write.
+/// Textual append — strip the closing bracket, add the entry — so prior
+/// entries pass through byte-identical and the file stays a valid array
+/// after every run (the committed baseline entry is entry 0).
+inline void append_trajectory(const std::string& path,
+                              const std::string& entry) {
+  if (path.empty()) return;
+  std::string existing;
+  {
+    std::ifstream in(path, std::ios::binary);
+    if (in)
+      existing.assign((std::istreambuf_iterator<char>(in)),
+                      std::istreambuf_iterator<char>());
+  }
+  while (!existing.empty() &&
+         (existing.back() == '\n' || existing.back() == ' '))
+    existing.pop_back();
+  std::ofstream out(path, std::ios::binary);
+  MSP_CHECK_MSG(out.good(), "cannot open JSON output " << path);
+  if (existing.empty()) {
+    out << "[\n" << entry << "\n]\n";
+  } else {
+    MSP_CHECK_MSG(existing.back() == ']',
+                  "trajectory file " << path << " is not a JSON array");
+    existing.pop_back();
+    while (!existing.empty() &&
+           (existing.back() == '\n' || existing.back() == ' '))
+      existing.pop_back();
+    out << existing << ",\n" << entry << "\n]\n";
+  }
+  std::cout << "appended to " << path << "\n";
 }
 
 }  // namespace msp::bench

@@ -12,7 +12,6 @@
 // indexed-vs-reference speedup and the simd-vs-scalar backend ratio — which
 // transfer across machines, unlike absolute wall-clock; see
 // tools/check_kernel_bench.py and EXPERIMENTS.md.
-#include <fstream>
 #include <iostream>
 #include <limits>
 #include <sstream>
@@ -52,38 +51,6 @@ TimedRun best_of(int repeats, const msp::SearchEngine& engine,
     }
   }
   return best;
-}
-
-/// Append `entry` (a JSON object) to the JSON array at `path`, creating the
-/// array on first write. Textual append — strip the closing bracket, add the
-/// entry — so prior entries pass through byte-identical and the file stays a
-/// valid array after every run (the committed baseline entry is entry 0).
-void append_trajectory(const std::string& path, const std::string& entry) {
-  if (path.empty()) return;
-  std::string existing;
-  {
-    std::ifstream in(path, std::ios::binary);
-    if (in)
-      existing.assign((std::istreambuf_iterator<char>(in)),
-                      std::istreambuf_iterator<char>());
-  }
-  while (!existing.empty() &&
-         (existing.back() == '\n' || existing.back() == ' '))
-    existing.pop_back();
-  std::ofstream out(path, std::ios::binary);
-  MSP_CHECK_MSG(out.good(), "cannot open JSON output " << path);
-  if (existing.empty()) {
-    out << "[\n" << entry << "\n]\n";
-  } else {
-    MSP_CHECK_MSG(existing.back() == ']',
-                  "trajectory file " << path << " is not a JSON array");
-    existing.pop_back();
-    while (!existing.empty() &&
-           (existing.back() == '\n' || existing.back() == ' '))
-      existing.pop_back();
-    out << existing << ",\n" << entry << "\n]\n";
-  }
-  std::cout << "appended to " << path << "\n";
 }
 
 }  // namespace
@@ -364,6 +331,6 @@ int main(int argc, char** argv) {
     indented << "  " << line;
     first = false;
   }
-  append_trajectory(cli.get_string("out"), indented.str());
+  msp::bench::append_trajectory(cli.get_string("out"), indented.str());
   return 0;
 }

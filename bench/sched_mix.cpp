@@ -23,7 +23,6 @@
 // engine's hit list (the bench aborts otherwise). Results append to a
 // trajectory file (BENCH_sched.json, a JSON array with one entry per run;
 // entry 0 is the committed baseline) exactly like BENCH_kernel.json.
-#include <fstream>
 #include <iostream>
 #include <sstream>
 
@@ -34,38 +33,6 @@
 #include "util/table.hpp"
 
 namespace {
-
-/// Append `entry` (a JSON object) to the JSON array at `path`, creating the
-/// array on first write. Textual append — strip the closing bracket, add
-/// the entry — so prior entries pass through byte-identical and the file
-/// stays a valid array after every run.
-void append_trajectory(const std::string& path, const std::string& entry) {
-  if (path.empty()) return;
-  std::string existing;
-  {
-    std::ifstream in(path, std::ios::binary);
-    if (in)
-      existing.assign((std::istreambuf_iterator<char>(in)),
-                      std::istreambuf_iterator<char>());
-  }
-  while (!existing.empty() &&
-         (existing.back() == '\n' || existing.back() == ' '))
-    existing.pop_back();
-  std::ofstream out(path, std::ios::binary);
-  MSP_CHECK_MSG(out.good(), "cannot open JSON output " << path);
-  if (existing.empty()) {
-    out << "[\n" << entry << "\n]\n";
-  } else {
-    MSP_CHECK_MSG(existing.back() == ']',
-                  "trajectory file " << path << " is not a JSON array");
-    existing.pop_back();
-    while (!existing.empty() &&
-           (existing.back() == '\n' || existing.back() == ' '))
-      existing.pop_back();
-    out << existing << ",\n" << entry << "\n]\n";
-  }
-  std::cout << "appended to " << path << "\n";
-}
 
 const msp::sched::TenantAccounting* tenant_named(
     const msp::sched::SchedResult& result, const std::string& name) {
@@ -296,6 +263,6 @@ int main(int argc, char** argv) {
     indented << "  " << line;
     first = false;
   }
-  append_trajectory(cli.get_string("out"), indented.str());
+  msp::bench::append_trajectory(cli.get_string("out"), indented.str());
   return 0;
 }

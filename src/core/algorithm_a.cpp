@@ -245,13 +245,7 @@ void ring_search_body(sim::Comm& comm, const std::string& fasta_image,
                         : (fetched.has_fragment ? &fetched.fragment : nullptr);
     const ShardSearchStats stats = engine.search_shard(
         shard_db, prepared, tops, nullptr, shard_index, shard_fragment);
-    comm.clock().charge_compute(kernel_cost_seconds(stats, cost));
-    comm.bump("candidates", stats.candidates_evaluated);
-    comm.bump("prefiltered", stats.candidates_prefiltered);
-    comm.bump("offers", stats.hits_offered);
-    comm.bump("ions", stats.ions_built);
-    if (engine.config().open_search())
-      comm.bump("postings", stats.postings_scanned);
+    charge_kernel(comm, stats);
 
     if (options.mask && prefetch.request.active) {
       prefetch.window->wait(prefetch.request);
@@ -351,12 +345,7 @@ void ring_search_body(sim::Comm& comm, const std::string& fasta_image,
           const ShardSearchStats stats =
               engine.search_shard(shard_db, orphan_prepared, orphan_tops,
                                   nullptr, shard_index, shard_fragment);
-          comm.clock().charge_compute(kernel_cost_seconds(stats, cost));
-          comm.bump("candidates", stats.candidates_evaluated);
-          comm.bump("prefiltered", stats.candidates_prefiltered);
-          comm.bump("ions", stats.ions_built);
-          if (engine.config().open_search())
-            comm.bump("postings", stats.postings_scanned);
+          charge_kernel(comm, stats);
         }
 
         QueryHits orphan_hits = engine.finalize(orphan_tops);

@@ -158,13 +158,7 @@ AlgorithmBResult run_algorithm_b(const sim::Runtime& runtime,
                 : (fetched.has_fragment ? &fetched.fragment : nullptr);
         const ShardSearchStats stats = engine.search_shard(
             shard_db, prepared, tops, nullptr, shard_index, shard_fragment);
-        comm.clock().charge_compute(kernel_cost_seconds(stats, cost));
-        comm.bump("candidates", stats.candidates_evaluated);
-        comm.bump("prefiltered", stats.candidates_prefiltered);
-        comm.bump("offers", stats.hits_offered);
-        comm.bump("ions", stats.ions_built);
-        if (config.open_search())
-          comm.bump("postings", stats.postings_scanned);
+        charge_kernel(comm, stats);
       }
 
       if (options.mask && prefetch.active) {

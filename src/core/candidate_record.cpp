@@ -1,7 +1,9 @@
 #include "core/candidate_record.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <cstring>
+#include <string>
 
 #include "io/wire_record.hpp"
 #include "simmpi/comm.hpp"
@@ -24,6 +26,21 @@ CandidateRecord make_record(const Protein& protein, std::uint32_t offset,
   record.length = length;
   record.end = static_cast<std::uint8_t>(end);
   return record;
+}
+
+/// What is wrong with a decoded record, or nullptr when it is well-formed.
+/// Ids are at most 23 characters and NUL-padded, so a well-formed
+/// protein_id ends in NUL: one load checks it, and it bounds every C-string
+/// read of the id.
+const char* record_problem(const CandidateRecord& record) {
+  if (!std::isfinite(record.mass)) return "mass is not finite";
+  if (record.length == 0 || record.length >= sizeof(record.peptide))
+    return "length is outside [1, 63]";
+  if (record.protein_id[sizeof(record.protein_id) - 1] != '\0')
+    return "protein_id is not NUL-terminated";
+  if (record.end > static_cast<std::uint8_t>(FragmentEnd::kInternal))
+    return "end is not a FragmentEnd";
+  return nullptr;
 }
 
 }  // namespace
@@ -59,6 +76,17 @@ std::vector<CandidateRecord> enumerate_candidate_records(
     }
   }
   return records;
+}
+
+std::span<const CandidateRecord> decode_candidate_records(
+    std::span<const char> bytes, std::vector<CandidateRecord>& out,
+    const char* what) {
+  const auto check = [what](const CandidateRecord& record, std::size_t i) {
+    if (const char* problem = record_problem(record))
+      throw IoError(std::string(what) + ": record " + std::to_string(i) +
+                    ": " + problem);
+  };
+  return wire::checked_array_copy(bytes, out, what, check);
 }
 
 bool candidate_record_less(const CandidateRecord& a,
@@ -113,8 +141,7 @@ std::vector<CandidateRecord> sort_candidate_records_by_mass(
   std::vector<CandidateRecord> sorted;
   std::vector<CandidateRecord> decoded;
   for (const auto& payload : received) {
-    wire::checked_array_copy(std::span<const char>(payload), decoded,
-                             "exchanged candidate payload");
+    decode_candidate_records(payload, decoded, "exchanged candidate payload");
     sorted.insert(sorted.end(), decoded.begin(), decoded.end());
   }
   std::sort(sorted.begin(), sorted.end(), candidate_record_less);

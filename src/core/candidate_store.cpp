@@ -5,7 +5,6 @@
 
 #include "core/partition.hpp"
 #include "core/search_engine.hpp"
-#include "io/wire_record.hpp"
 #include "mass/amino_acid.hpp"
 #include "scoring/top_hits.hpp"
 #include "simmpi/comm.hpp"
@@ -168,18 +167,19 @@ CandidateStoreResult run_candidate_store(const sim::Runtime& runtime,
             (last - first) * sizeof(CandidateRecord), fetched, 1);
         window.wait(fetch);
         ++fetches;
-        for (const CandidateRecord& record : wire::checked_array_copy(
-                 std::span<const char>(fetched), decoded, "store range")) {
+        for (const CandidateRecord& record :
+             decode_candidate_records(fetched, decoded, "store range")) {
           if (record.mass < lo) continue;
           if (record.mass > hi) break;  // records sorted by mass
           const std::string_view peptide(record.peptide, record.length);
           // Allocation-free scoring: the record's ions land in one reused
           // workspace (the store already paid generation at build time, so
           // only the comparison remainder is charged below).
-          const std::vector<FragmentIon>& ions =
-              fragment_ions_into(peptide, ion_options, workspace);
+          build_ion_ladder(fragment_ions_into(peptide, ion_options, workspace),
+                           config.bin_width, workspace.ladder);
           const double score =
-              engine.score_candidate(prepared.contexts[qi], peptide, ions);
+              engine.score_candidate(prepared.contexts[qi], peptide,
+                                     workspace.ladder);
           ++evaluated;
           comm.clock().charge_compute(eval_cost);
           if (score < config.score_cutoff) continue;

@@ -86,12 +86,7 @@ ParallelRunResult run_master_worker(const sim::Runtime& runtime,
       std::vector<TopK<Hit>> tops = engine.make_tops(count);
       const ShardSearchStats stats =
           engine.search_shard(db, prepared, tops, nullptr, &index, fragment);
-      comm.clock().charge_compute(kernel_cost_seconds(stats, cost));
-      comm.bump("candidates", stats.candidates_evaluated);
-      comm.bump("prefiltered", stats.candidates_prefiltered);
-      comm.bump("ions", stats.ions_built);
-      if (config.open_search())
-        comm.bump("postings", stats.postings_scanned);
+      charge_kernel(comm, stats);
       QueryHits hits = engine.finalize(tops);
       if (config.open_search()) {
         std::uint64_t misses = 0;

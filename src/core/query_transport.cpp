@@ -132,12 +132,7 @@ ParallelRunResult run_query_transport(const sim::Runtime& runtime,
       const ShardSearchStats stats =
           engine.search_shard(local_db, prepared, tops, nullptr, &local_index,
                               use_fragment ? &local_fragment : nullptr);
-      comm.clock().charge_compute(kernel_cost_seconds(stats, cost));
-      comm.bump("candidates", stats.candidates_evaluated);
-      comm.bump("prefiltered", stats.candidates_prefiltered);
-      comm.bump("ions", stats.ions_built);
-      if (config.open_search())
-        comm.bump("postings", stats.postings_scanned);
+      charge_kernel(comm, stats);
       partial[static_cast<std::size_t>(j)] = engine.finalize(tops);
       if (options.fence_per_iteration) window.fence();
     }

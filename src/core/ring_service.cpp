@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "io/wire_record.hpp"
 #include "util/error.hpp"
 
 namespace msp {
@@ -12,16 +11,6 @@ namespace {
 /// accounting rule Algorithm A charges for its query blocks.
 std::size_t query_bytes(const Spectrum& spectrum) {
   return spectrum.peaks().size() * sizeof(Peak) + 4096;
-}
-
-/// Reinterpret fetched band bytes as records. The transport moves raw
-/// record bytes, so a fetched range is decoded through the wire layer's
-/// checked copy (the simulator's virtual clock never sees this host-side
-/// copy; a torn fetch throws IoError instead of misparsing the band).
-std::span<const CandidateRecord> decode_records(
-    const std::vector<char>& bytes, std::vector<CandidateRecord>& out) {
-  return wire::checked_array_copy(std::span<const char>(bytes), out,
-                                  "ring band");
 }
 
 }  // namespace
@@ -202,7 +191,8 @@ std::span<const CandidateRecord> RingService::resident_records(
     // Route-everything fallback (no histogram for this band): fetch whole.
     ShardFetch fetch = fetch_shard(shard, at_step, fetch_buffer_);
     fetch.window->wait(fetch.request);
-    return decode_records(fetch_buffer_, scratch_records_);
+    return decode_candidate_records(fetch_buffer_, scratch_records_,
+                                    "ring band");
   }
   const auto [first, last] =
       histogram->record_range(flight.fetch_lo, flight.fetch_hi);
@@ -213,7 +203,8 @@ std::span<const CandidateRecord> RingService::resident_records(
   ShardFetch fetch =
       fetch_shard_range(shard, at_step, first, last, fetch_buffer_);
   fetch.window->wait(fetch.request);
-  return decode_records(fetch_buffer_, scratch_records_);
+  return decode_candidate_records(fetch_buffer_, scratch_records_,
+                                  "ring band");
 }
 
 void RingService::admit(const ServiceBatch& batch) {
@@ -370,11 +361,7 @@ ServiceStepOutcome RingService::step(bool prefetch_next) {
             engine_.make_tops(flight.block.count());
         const ShardSearchStats stats =
             engine_.search_records(resident, flight.prepared, shard_tops);
-        comm_.clock().charge_compute(kernel_cost_seconds(stats, cost));
-        comm_.bump("candidates", stats.candidates_evaluated);
-        comm_.bump("prefiltered", stats.candidates_prefiltered);
-        comm_.bump("offers", stats.hits_offered);
-        comm_.bump("ions", stats.ions_built);
+        charge_kernel(comm_, stats);
         for (std::size_t q = 0; q < flight.block.count(); ++q)
           flight.tops[q].absorb(static_cast<std::size_t>(shard),
                                 shard_tops[q]);
@@ -392,7 +379,8 @@ ServiceStepOutcome RingService::step(bool prefetch_next) {
       const std::span<const CandidateRecord> resident =
           shard == rank_
               ? std::span<const CandidateRecord>(band_.data(), band_.size())
-              : decode_records(comp_buffer_, scratch_records_);
+              : decode_candidate_records(comp_buffer_, scratch_records_,
+                                         "ring band");
 
       // Masked prefetch of the next step's band under this step's scoring
       // (Algorithm A's A2 pattern, amortized over every in-flight batch).
@@ -415,11 +403,7 @@ ServiceStepOutcome RingService::step(bool prefetch_next) {
             engine_.make_tops(flight.block.count());
         const ShardSearchStats stats =
             engine_.search_records(resident, flight.prepared, shard_tops);
-        comm_.clock().charge_compute(kernel_cost_seconds(stats, cost));
-        comm_.bump("candidates", stats.candidates_evaluated);
-        comm_.bump("prefiltered", stats.candidates_prefiltered);
-        comm_.bump("offers", stats.hits_offered);
-        comm_.bump("ions", stats.ions_built);
+        charge_kernel(comm_, stats);
         for (std::size_t q = 0; q < flight.block.count(); ++q)
           flight.tops[q].absorb(static_cast<std::size_t>(shard),
                                 shard_tops[q]);

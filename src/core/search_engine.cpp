@@ -10,9 +10,19 @@
 #include "mass/digest.hpp"
 #include "scoring/hyperscore.hpp"
 #include "scoring/shared_peak.hpp"
+#include "simmpi/comm.hpp"
 #include "util/error.hpp"
 
 namespace msp {
+
+void charge_kernel(sim::Comm& comm, const ShardSearchStats& stats) {
+  comm.clock().charge_compute(kernel_cost_seconds(stats, comm.compute_model()));
+  comm.bump("candidates", stats.candidates_evaluated);
+  comm.bump("prefiltered", stats.candidates_prefiltered);
+  comm.bump("offers", stats.hits_offered);
+  comm.bump("ions", stats.ions_built);
+  comm.bump("postings", stats.postings_scanned);
+}
 
 double PreparedQueries::min_mass() const {
   return sorted_masses.empty() ? 0.0 : sorted_masses.front();
@@ -93,14 +103,8 @@ std::vector<double> SearchEngine::hypothesis_masses(
 
 double SearchEngine::score_candidate(const QueryContext& context,
                                      std::string_view peptide) const {
-  return score_candidate(context, peptide, fragment_ions(peptide));
-}
-
-double SearchEngine::score_candidate(
-    const QueryContext& context, std::string_view peptide,
-    const std::vector<FragmentIon>& ions) const {
   static thread_local IonLadder ladder;
-  build_ion_ladder(ions, config_.bin_width, ladder);
+  build_ion_ladder(fragment_ions(peptide), config_.bin_width, ladder);
   return score_candidate(context, peptide, ladder);
 }
 
@@ -138,134 +142,271 @@ double SearchEngine::score_candidate(const QueryContext& context,
 
 namespace {
 
-/// Score index entries [first, last) against all matching queries — the
-/// candidate-centric inner loop one thread runs. State it writes (tops,
-/// stats, per_query_candidates) is exclusively its own; everything else is
-/// read-only, which is what makes the fan-out race-free.
-void search_index_block(const SearchEngine& engine,
-                        const ProteinDatabase& shard,
-                        const CandidateIndex& index,
-                        const PreparedQueries& queries, std::size_t first,
-                        std::size_t last, std::span<TopK<Hit>> tops,
-                        ShardSearchStats& stats,
-                        std::vector<std::uint64_t>* per_query_candidates) {
-  const SearchConfig& config = engine.config();
-  const double delta = config.tolerance_da;
-  const std::vector<IndexedCandidate>& entries = index.entries();
-  const std::vector<double>& sorted = queries.sorted_masses;
+/// One candidate as the score step sees it: its residues plus the identity
+/// a Hit carries. Index entries and ring records both map onto it.
+struct CandidateView {
+  std::string_view peptide;
+  std::string_view protein_id;
+  std::uint32_t offset;
+  std::uint32_t length;
+  FragmentEnd end;
+  double mass;
+};
 
-  // Merge-join: entries and query hypotheses are both mass-ascending, so the
-  // window [lo, hi) only ever slides forward. Bounds use the same predicates
-  // as the reference kernel's binary searches (>= mass-δ, <= mass+δ).
-  std::size_t lo = static_cast<std::size_t>(
-      std::lower_bound(sorted.begin(), sorted.end(),
-                       entries[first].mass - delta) -
-      sorted.begin());
-  std::size_t hi = lo;
-
-  FragmentIonWorkspace workspace;
-  const TheoreticalOptions ion_options;  // same defaults as the string path
-
-  for (std::size_t e = first; e < last; ++e) {
-    const IndexedCandidate& entry = entries[e];
-    const double mass = entry.mass;
-    while (lo < sorted.size() && sorted[lo] < mass - delta) ++lo;
-    if (hi < lo) hi = lo;
-    while (hi < sorted.size() && sorted[hi] <= mass + delta) ++hi;
-    if (lo == hi) continue;
-
-    const Protein& protein = shard.proteins[entry.protein];
-    const std::string_view peptide =
-        std::string_view(protein.residues).substr(entry.offset, entry.length);
-
-    // Built lazily on the first matching query — ions plus their SoA bin
-    // ladder — then shared by every query (and prefilter screen) this
-    // candidate reaches. All scoring below runs on the ladder.
-    bool built = false;
-
-    for (std::size_t pos = lo; pos < hi; ++pos) {
-      const std::uint32_t q = queries.order[pos];
-      if (per_query_candidates) ++(*per_query_candidates)[q];
-      if (!built) {
-        build_ion_ladder(fragment_ions_into(peptide, ion_options, workspace),
-                         config.bin_width, workspace.ladder);
-        built = true;
-        ++stats.ions_built;
-      }
-      double score;
-      if (config.prefilter) {
-        const std::size_t shared =
-            shared_peak_count(queries.contexts[q].binned(), workspace.ladder);
-        if (shared < config.prefilter_min_shared_peaks) {
-          ++stats.candidates_prefiltered;
-          continue;  // the aggressive screen: never fully scored
-        }
-        // Under the shared-peak model the screen already IS the score —
-        // reuse it instead of scoring the candidate a second time.
-        score = config.model == ScoreModel::kSharedPeak
-                    ? static_cast<double>(shared)
-                    : engine.score_candidate(queries.contexts[q], peptide,
-                                             workspace.ladder);
-      } else {
-        score =
-            engine.score_candidate(queries.contexts[q], peptide,
-                                   workspace.ladder);
-      }
-      ++stats.candidates_evaluated;
-      if (score < config.score_cutoff) continue;
-      // Counted before the top-τ admission test so the counter (and the
-      // virtual clock built on it) is independent of visit order.
-      ++stats.hits_offered;
-      TopK<Hit>& top = tops[q];
-      // A full list never admits a strictly worse score: skip before paying
-      // for the Hit's string materialization.
-      if (top.full() && score < top.cutoff()) continue;
-      Hit hit;
-      hit.score = score;
-      hit.protein_id = protein.id;
-      hit.offset = entry.offset;
-      hit.length = entry.length;
-      hit.end = entry.end;
-      hit.mass = mass;
-      hit.peptide = std::string(peptide);
-      top.offer(hit);
-    }
-  }
+CandidateView view_of(const ProteinDatabase& shard,
+                      const IndexedCandidate& entry) {
+  const Protein& protein = shard.proteins[entry.protein];
+  const std::string_view residues = protein.residues;
+  return {residues.substr(entry.offset, entry.length), protein.id, entry.offset,
+          entry.length, entry.end, entry.mass};
 }
 
-/// Score hypothesis entries [first, last) through a CandidateSource — the
-/// query-centric open-search inner loop one thread runs. Each hypothesis
-/// windows [m − window_below, m + window_above] of the index (one contiguous
-/// ordinal range, since entries are mass-ascending), the source gates the
-/// window down to candidates with enough matched ions, and only survivors
-/// are fully scored. Writes (tops, stats, per_query_candidates) are private
-/// to the thread, as in search_index_block.
-void search_open_block(
-    const SearchEngine& engine, const ProteinDatabase& shard,
-    const CandidateIndex& index, const FragmentIndex* fragment,
-    const PreparedQueries& queries,
-    const std::vector<std::vector<std::uint32_t>>* occupied,
-    std::size_t first, std::size_t last, std::span<TopK<Hit>> tops,
-    ShardSearchStats& stats,
-    std::vector<std::uint64_t>* per_query_candidates) {
+CandidateView view_of(const CandidateRecord& record) {
+  const std::string_view id(record.protein_id, sizeof(record.protein_id));
+  return {std::string_view(record.peptide, record.length),
+          id.substr(0, id.find('\0')), record.offset, record.length,
+          static_cast<FragmentEnd>(record.end), record.mass};
+}
+
+/// Score one (candidate, hypothesis) pair over the candidate's built ion
+/// ladder — the one score step every kernel path runs. `gate` is the
+/// shared-peak screen (0 = none): a pair sharing fewer peaks counts as
+/// prefiltered and is never fully scored, and under kSharedPeak the screen
+/// already IS the score. Then: count the evaluation, apply the cutoff,
+/// count the offer before the top-τ admission test (so the counter, and the
+/// virtual clock built on it, is independent of visit order), and skip a
+/// strictly worse score on a full list before paying for the Hit.
+void score_pair(const SearchEngine& engine, const QueryContext& context,
+                const IonLadder& ladder, const CandidateView& candidate,
+                std::size_t gate, TopK<Hit>& top, ShardSearchStats& stats) {
   const SearchConfig& config = engine.config();
+  double score;
+  if (gate > 0) {
+    const std::size_t shared = shared_peak_count(context.binned(), ladder);
+    if (shared < gate) {
+      ++stats.candidates_prefiltered;
+      return;
+    }
+    score = config.model == ScoreModel::kSharedPeak
+                ? static_cast<double>(shared)
+                : engine.score_candidate(context, candidate.peptide, ladder);
+  } else {
+    score = engine.score_candidate(context, candidate.peptide, ladder);
+  }
+  ++stats.candidates_evaluated;
+  if (score < config.score_cutoff) return;
+  ++stats.hits_offered;
+  if (top.full() && score < top.cutoff()) return;
+  Hit hit;
+  hit.score = score;
+  hit.protein_id = std::string(candidate.protein_id);
+  hit.offset = candidate.offset;
+  hit.length = candidate.length;
+  hit.end = candidate.end;
+  hit.mass = candidate.mass;
+  hit.peptide = std::string(candidate.peptide);
+  top.offer(hit);
+}
+
+/// The shared-peak gate of a merge-joined pair: narrow search screens with
+/// the prefilter; open search (the record-band form) applies the vote gate
+/// both CandidateSources apply.
+std::size_t pair_gate(const SearchConfig& config) {
+  if (config.open_search()) return config.vote_gate();
+  return config.prefilter ? config.prefilter_min_shared_peaks : 0;
+}
+
+/// Run `block(first, last, tops, stats, per_query)` over the item range
+/// [first, last): inline when one thread suffices, else over `threads`
+/// contiguous blocks, one std::thread each with fully private outputs,
+/// merged in fixed thread order. The final lists depend only on the
+/// multiset of offers (TopK's total order), and every counter is a sum over
+/// per-item work — both partition-invariant — so any thread count produces
+/// identical hits and counters.
+template <typename Block>
+ShardSearchStats fan_out(const SearchEngine& engine, std::size_t threads,
+                         std::size_t first, std::size_t last,
+                         std::span<TopK<Hit>> tops,
+                         std::vector<std::uint64_t>* per_query_candidates,
+                         const Block& block) {
+  ShardSearchStats stats;
+  const std::size_t items = last - first;
+  threads = std::clamp<std::size_t>(threads, 1, items);
+  if (threads <= 1) {
+    block(first, last, tops, stats, per_query_candidates);
+    return stats;
+  }
+
+  struct ThreadState {
+    std::vector<TopK<Hit>> tops;
+    ShardSearchStats stats;
+    std::vector<std::uint64_t> per_query;
+    std::exception_ptr error;
+  };
+  std::vector<ThreadState> states(threads);
+  std::vector<std::thread> pool;
+  pool.reserve(threads);
+  for (std::size_t t = 0; t < threads; ++t) {
+    ThreadState& state = states[t];
+    state.tops = engine.make_tops(tops.size());
+    if (per_query_candidates) state.per_query.assign(tops.size(), 0);
+    const std::size_t block_first = first + items * t / threads;
+    const std::size_t block_last = first + items * (t + 1) / threads;
+    pool.emplace_back([&, block_first, block_last, t] {
+      ThreadState& mine = states[t];
+      try {
+        block(block_first, block_last, mine.tops, mine.stats,
+              per_query_candidates ? &mine.per_query : nullptr);
+      } catch (...) {
+        mine.error = std::current_exception();
+      }
+    });
+  }
+  for (std::thread& worker : pool) worker.join();
+  for (ThreadState& state : states)
+    if (state.error) std::rethrow_exception(state.error);
+
+  for (const ThreadState& state : states) {
+    for (std::size_t q = 0; q < tops.size(); ++q) tops[q].merge(state.tops[q]);
+    stats += state.stats;
+    if (per_query_candidates)
+      for (std::size_t q = 0; q < state.per_query.size(); ++q)
+        (*per_query_candidates)[q] += state.per_query[q];
+  }
+  return stats;
+}
+
+/// The candidate-centric kernel over a mass-ascending candidate span: trim
+/// the span to the query envelope, then merge-join it against the sorted
+/// query hypotheses. A hypothesis m accepts candidate masses
+/// [m − window_below, m + window_above], so from the candidate side a
+/// candidate of mass M matches hypotheses [M − window_above,
+/// M + window_below] — both bounds exactly tolerance_da in narrow mode.
+/// Both sequences ascend, so the hypothesis window only slides forward; its
+/// bounds use the reference kernel's predicates (>= M − above,
+/// <= M + below). A matched candidate's ions are built once, on its first
+/// matching hypothesis, and shared by every hypothesis (and screen) it
+/// reaches. `view` maps a span element to its CandidateView; the trimmed
+/// range fans out over `threads`.
+template <typename Candidate, typename View>
+ShardSearchStats merge_join(const SearchEngine& engine,
+                            std::span<const Candidate> candidates,
+                            const PreparedQueries& queries,
+                            std::span<TopK<Hit>> tops,
+                            std::vector<std::uint64_t>* per_query_candidates,
+                            std::size_t threads, const View& view) {
+  const SearchConfig& config = engine.config();
+  const double below = config.window_below();
+  const double above = config.window_above();
+  const std::size_t gate = pair_gate(config);
+  const std::vector<double>& sorted = queries.sorted_masses;
+
+  const double query_mass_floor = queries.min_mass() - below;
+  const double query_mass_ceil = queries.max_mass() + above;
+  const auto by_mass = [](const Candidate& candidate, double mass) {
+    return candidate.mass < mass;
+  };
+  const std::size_t first = static_cast<std::size_t>(
+      std::lower_bound(candidates.begin(), candidates.end(), query_mass_floor,
+                       by_mass) -
+      candidates.begin());
+  std::size_t last = first;
+  while (last < candidates.size() && candidates[last].mass <= query_mass_ceil)
+    ++last;
+  if (first >= last) return {};
+
+  const auto join = [&](std::size_t block_first, std::size_t block_last,
+                        std::span<TopK<Hit>> block_tops,
+                        ShardSearchStats& stats,
+                        std::vector<std::uint64_t>* per_query) {
+    std::size_t lo = static_cast<std::size_t>(
+        std::lower_bound(sorted.begin(), sorted.end(),
+                         candidates[block_first].mass - above) -
+        sorted.begin());
+    std::size_t hi = lo;
+    FragmentIonWorkspace workspace;
+    const TheoreticalOptions ion_options;  // same defaults as the string path
+
+    for (std::size_t e = block_first; e < block_last; ++e) {
+      const double mass = candidates[e].mass;
+      while (lo < sorted.size() && sorted[lo] < mass - above) ++lo;
+      if (hi < lo) hi = lo;
+      while (hi < sorted.size() && sorted[hi] <= mass + below) ++hi;
+      if (lo == hi) continue;
+
+      const CandidateView candidate = view(candidates[e]);
+      bool built = false;
+      for (std::size_t pos = lo; pos < hi; ++pos) {
+        const std::uint32_t q = queries.order[pos];
+        if (per_query) ++(*per_query)[q];
+        if (!built) {
+          const std::vector<FragmentIon>& ions =
+              fragment_ions_into(candidate.peptide, ion_options, workspace);
+          build_ion_ladder(ions, config.bin_width, workspace.ladder);
+          built = true;
+          ++stats.ions_built;
+        }
+        score_pair(engine, queries.contexts[q], workspace.ladder, candidate,
+                   gate, block_tops[q], stats);
+      }
+    }
+  };
+  return fan_out(engine, threads, first, last, tops, per_query_candidates,
+                 join);
+}
+
+/// The query-centric open-search kernel behind search_shard(): each
+/// hypothesis windows [m − window_below, m + window_above] of the index
+/// (one contiguous ordinal range, since entries are mass-ascending), a
+/// CandidateSource gates the window down to candidates with enough matched
+/// ions, and only survivors are fully scored. `index` has already been
+/// validated (or built) by the caller; the hypothesis range fans out.
+ShardSearchStats search_open(const SearchEngine& engine,
+                             const ProteinDatabase& shard,
+                             const PreparedQueries& queries,
+                             std::span<TopK<Hit>> tops,
+                             std::vector<std::uint64_t>* per_query_candidates,
+                             const CandidateIndex& index,
+                             const FragmentIndex* fragment) {
+  const SearchConfig& config = engine.config();
+
+  // Source selection: kAuto uses the shipped fragment index when present
+  // (legacy images carry none — exhaustive fallback); kFragmentIndex builds
+  // one in place when absent; kMassWindow forces exhaustive enumeration.
+  FragmentIndex local_fragment;
+  if (config.candidate_source == CandidateSourceKind::kMassWindow) {
+    fragment = nullptr;
+  } else if (fragment == nullptr &&
+             config.candidate_source == CandidateSourceKind::kFragmentIndex) {
+    local_fragment = FragmentIndex::build(shard, index, config.bin_width);
+    fragment = &local_fragment;
+  }
+  if (fragment != nullptr) {
+    MSP_CHECK_MSG(
+        fragment->params() ==
+            (FragmentIndexParams{index.params(), config.bin_width}),
+        "fragment index was built under different parameters than this "
+        "engine's config");
+    MSP_CHECK_MSG(fragment->candidate_count() == index.size(),
+                  "fragment index does not cover this candidate index");
+  }
+
+  const std::size_t hypotheses = queries.sorted_masses.size();
+  if (hypotheses == 0 || index.empty()) return {};
+
+  // The query-side half of the inverted lookup, shared read-only across the
+  // fan-out. Skipped entirely on the exhaustive path.
+  std::vector<std::vector<std::uint32_t>> occupied;
+  if (fragment != nullptr) {
+    occupied.reserve(queries.contexts.size());
+    for (const QueryContext& context : queries.contexts)
+      occupied.push_back(occupied_bins(context.binned()));
+  }
+
   const double below = config.window_below();
   const double above = config.window_above();
   const std::vector<IndexedCandidate>& entries = index.entries();
   const std::vector<double>& sorted = queries.sorted_masses;
-
-  // Per-thread source scratch: vote accumulators must not be shared.
-  MassWindowCandidateSource window_source(shard, index, config.vote_gate());
-  std::optional<FragmentIndexCandidateSource> index_source;
-  if (fragment != nullptr) index_source.emplace(*fragment, config.vote_gate());
-  CandidateSource& source =
-      fragment != nullptr ? static_cast<CandidateSource&>(*index_source)
-                          : static_cast<CandidateSource&>(window_source);
-  const bool prebuilt = source.ions_prebuilt();
-
-  FragmentIonWorkspace workspace;
-  const TheoreticalOptions ion_options;  // same defaults as every kernel
-  std::vector<std::uint32_t> survivors;
   const auto entry_below = [](const IndexedCandidate& entry, double mass) {
     return entry.mass < mass;
   };
@@ -273,58 +414,62 @@ void search_open_block(
     return mass < entry.mass;
   };
 
-  for (std::size_t k = first; k < last; ++k) {
-    const double mass = sorted[k];
-    const std::uint32_t q = queries.order[k];
-    const std::size_t lo = static_cast<std::size_t>(
-        std::lower_bound(entries.begin(), entries.end(), mass - below,
-                         entry_below) -
-        entries.begin());
-    const std::size_t hi = static_cast<std::size_t>(
-        std::upper_bound(entries.begin() + static_cast<std::ptrdiff_t>(lo),
-                         entries.end(), mass + above, entry_above) -
-        entries.begin());
-    // The Fig. 1b measurement stays "candidates in the precursor window" —
-    // identical for both sources (it is a property of the window alone).
-    if (per_query_candidates) (*per_query_candidates)[q] += hi - lo;
-    if (lo == hi) continue;
+  const auto block = [&](std::size_t first, std::size_t last,
+                         std::span<TopK<Hit>> block_tops,
+                         ShardSearchStats& stats,
+                         std::vector<std::uint64_t>* per_query) {
+    // Per-thread source scratch: vote accumulators must not be shared.
+    MassWindowCandidateSource window_source(shard, index, config.vote_gate());
+    std::optional<FragmentIndexCandidateSource> index_source;
+    if (fragment != nullptr)
+      index_source.emplace(*fragment, config.vote_gate());
+    CandidateSource& source =
+        fragment != nullptr ? static_cast<CandidateSource&>(*index_source)
+                            : static_cast<CandidateSource&>(window_source);
+    const bool prebuilt = source.ions_prebuilt();
 
-    source.collect(queries.contexts[q],
-                   occupied != nullptr
-                       ? std::span<const std::uint32_t>((*occupied)[q])
-                       : std::span<const std::uint32_t>(),
-                   lo, hi, survivors, stats);
+    FragmentIonWorkspace workspace;
+    const TheoreticalOptions ion_options;  // same defaults as every kernel
+    std::vector<std::uint32_t> survivors;
 
-    for (const std::uint32_t c : survivors) {
-      const IndexedCandidate& entry = entries[c];
-      const Protein& protein = shard.proteins[entry.protein];
-      const std::string_view peptide =
-          std::string_view(protein.residues).substr(entry.offset,
-                                                    entry.length);
-      build_ion_ladder(fragment_ions_into(peptide, ion_options, workspace),
-                       config.bin_width, workspace.ladder);
-      // The exhaustive source already built (and charged) every inspected
-      // candidate's ions; the indexed source only ever builds survivors'.
-      if (!prebuilt) ++stats.ions_built;
-      const double score =
-          engine.score_candidate(queries.contexts[q], peptide,
-                                 workspace.ladder);
-      ++stats.candidates_evaluated;
-      if (score < config.score_cutoff) continue;
-      ++stats.hits_offered;
-      TopK<Hit>& top = tops[q];
-      if (top.full() && score < top.cutoff()) continue;
-      Hit hit;
-      hit.score = score;
-      hit.protein_id = protein.id;
-      hit.offset = entry.offset;
-      hit.length = entry.length;
-      hit.end = entry.end;
-      hit.mass = entry.mass;
-      hit.peptide = std::string(peptide);
-      top.offer(hit);
+    for (std::size_t k = first; k < last; ++k) {
+      const double mass = sorted[k];
+      const std::uint32_t q = queries.order[k];
+      const std::size_t lo = static_cast<std::size_t>(
+          std::lower_bound(entries.begin(), entries.end(), mass - below,
+                           entry_below) -
+          entries.begin());
+      const std::size_t hi = static_cast<std::size_t>(
+          std::upper_bound(entries.begin() + static_cast<std::ptrdiff_t>(lo),
+                           entries.end(), mass + above, entry_above) -
+          entries.begin());
+      // The Fig. 1b measurement stays "candidates in the precursor window" —
+      // identical for both sources (it is a property of the window alone).
+      if (per_query) (*per_query)[q] += hi - lo;
+      if (lo == hi) continue;
+
+      source.collect(queries.contexts[q],
+                     fragment != nullptr
+                         ? std::span<const std::uint32_t>(occupied[q])
+                         : std::span<const std::uint32_t>(),
+                     lo, hi, survivors, stats);
+
+      for (const std::uint32_t c : survivors) {
+        const CandidateView candidate = view_of(shard, entries[c]);
+        const std::vector<FragmentIon>& ions =
+            fragment_ions_into(candidate.peptide, ion_options, workspace);
+        build_ion_ladder(ions, config.bin_width, workspace.ladder);
+        // The exhaustive source already built (and charged) every inspected
+        // candidate's ions; the indexed source only ever builds survivors'.
+        if (!prebuilt) ++stats.ions_built;
+        // Survivors already passed the source's vote gate: no second screen.
+        score_pair(engine, queries.contexts[q], workspace.ladder, candidate, 0,
+                   block_tops[q], stats);
+      }
     }
-  }
+  };
+  return fan_out(engine, config.kernel_threads, 0, hypotheses, tops,
+                 per_query_candidates, block);
 }
 
 }  // namespace
@@ -335,8 +480,7 @@ ShardSearchStats SearchEngine::search_shard(
     const CandidateIndex* index, const FragmentIndex* fragment) const {
   MSP_CHECK_MSG(tops.size() == queries.size(),
                 "tops arity must match query arity");
-  ShardSearchStats stats;
-  if (queries.size() == 0 || shard.proteins.empty()) return stats;
+  if (queries.size() == 0 || shard.proteins.empty()) return {};
 
   CandidateIndex local;
   if (index == nullptr) {
@@ -349,171 +493,14 @@ ShardSearchStats SearchEngine::search_shard(
   }
 
   if (config_.open_search())
-    return search_shard_open(shard, queries, tops, per_query_candidates,
-                             *index, fragment);
-
-  const std::vector<IndexedCandidate>& entries = index->entries();
-  const double delta = config_.tolerance_da;
-  const double query_mass_floor = queries.min_mass() - delta;
-  const double query_mass_ceil = queries.max_mass() + delta;
-  const auto by_mass = [](const IndexedCandidate& entry, double mass) {
-    return entry.mass < mass;
+    return search_open(*this, shard, queries, tops, per_query_candidates,
+                       *index, fragment);
+  const auto view = [&shard](const IndexedCandidate& entry) {
+    return view_of(shard, entry);
   };
-  const std::size_t first = static_cast<std::size_t>(
-      std::lower_bound(entries.begin(), entries.end(), query_mass_floor,
-                       by_mass) -
-      entries.begin());
-  std::size_t last = first;
-  while (last < entries.size() && entries[last].mass <= query_mass_ceil) ++last;
-  if (first >= last) return stats;
-
-  const std::size_t threads =
-      std::clamp<std::size_t>(config_.kernel_threads, 1, last - first);
-  if (threads <= 1) {
-    search_index_block(*this, shard, *index, queries, first, last, tops, stats,
-                       per_query_candidates);
-    return stats;
-  }
-
-  // Fan the entry range over contiguous blocks, one thread each, with fully
-  // private outputs; merge in fixed thread order. The final lists depend
-  // only on the multiset of offers (TopK's total order), and every counter
-  // is a sum over (candidate, query) pairs resp. matched candidates — both
-  // partition-invariant — so any thread count produces identical results.
-  struct ThreadState {
-    std::vector<TopK<Hit>> tops;
-    ShardSearchStats stats;
-    std::vector<std::uint64_t> per_query;
-    std::exception_ptr error;
-  };
-  std::vector<ThreadState> states(threads);
-  std::vector<std::thread> pool;
-  pool.reserve(threads);
-  const std::size_t span = last - first;
-  for (std::size_t t = 0; t < threads; ++t) {
-    ThreadState& state = states[t];
-    state.tops = make_tops(queries.size());
-    if (per_query_candidates) state.per_query.assign(queries.size(), 0);
-    const std::size_t block_first = first + span * t / threads;
-    const std::size_t block_last = first + span * (t + 1) / threads;
-    pool.emplace_back([&, block_first, block_last, t] {
-      ThreadState& mine = states[t];
-      try {
-        search_index_block(*this, shard, *index, queries, block_first,
-                           block_last, mine.tops, mine.stats,
-                           per_query_candidates ? &mine.per_query : nullptr);
-      } catch (...) {
-        mine.error = std::current_exception();
-      }
-    });
-  }
-  for (std::thread& worker : pool) worker.join();
-  for (ThreadState& state : states)
-    if (state.error) std::rethrow_exception(state.error);
-
-  for (std::size_t t = 0; t < threads; ++t) {
-    const ThreadState& state = states[t];
-    for (std::size_t q = 0; q < tops.size(); ++q) tops[q].merge(state.tops[q]);
-    stats += state.stats;
-    if (per_query_candidates)
-      for (std::size_t q = 0; q < state.per_query.size(); ++q)
-        (*per_query_candidates)[q] += state.per_query[q];
-  }
-  return stats;
-}
-
-ShardSearchStats SearchEngine::search_shard_open(
-    const ProteinDatabase& shard, const PreparedQueries& queries,
-    std::span<TopK<Hit>> tops, std::vector<std::uint64_t>* per_query_candidates,
-    const CandidateIndex& index, const FragmentIndex* fragment) const {
-  ShardSearchStats stats;
-
-  // Source selection: kAuto uses the shipped fragment index when present
-  // (legacy images carry none — exhaustive fallback); kFragmentIndex builds
-  // one in place when absent; kMassWindow forces exhaustive enumeration.
-  FragmentIndex local_fragment;
-  if (config_.candidate_source == CandidateSourceKind::kMassWindow) {
-    fragment = nullptr;
-  } else if (fragment == nullptr &&
-             config_.candidate_source == CandidateSourceKind::kFragmentIndex) {
-    local_fragment = FragmentIndex::build(shard, index, config_.bin_width);
-    fragment = &local_fragment;
-  }
-  if (fragment != nullptr) {
-    MSP_CHECK_MSG(
-        fragment->params() ==
-            (FragmentIndexParams{index.params(), config_.bin_width}),
-        "fragment index was built under different parameters than this "
-        "engine's config");
-    MSP_CHECK_MSG(fragment->candidate_count() == index.size(),
-                  "fragment index does not cover this candidate index");
-  }
-
-  const std::size_t hypotheses = queries.sorted_masses.size();
-  if (hypotheses == 0 || index.empty()) return stats;
-
-  // The query-side half of the inverted lookup, shared read-only across the
-  // fan-out. Skipped entirely on the exhaustive path.
-  std::vector<std::vector<std::uint32_t>> occupied;
-  if (fragment != nullptr) {
-    occupied.reserve(queries.contexts.size());
-    for (const QueryContext& context : queries.contexts)
-      occupied.push_back(occupied_bins(context.binned()));
-  }
-  const std::vector<std::vector<std::uint32_t>>* occupied_ptr =
-      fragment != nullptr ? &occupied : nullptr;
-
-  const std::size_t threads =
-      std::clamp<std::size_t>(config_.kernel_threads, 1, hypotheses);
-  if (threads <= 1) {
-    search_open_block(*this, shard, index, fragment, queries, occupied_ptr, 0,
-                      hypotheses, tops, stats, per_query_candidates);
-    return stats;
-  }
-
-  // Fan the hypothesis range over contiguous blocks — the open analog of
-  // the narrow kernel's entry-range fan-out, with the same merge argument:
-  // every hypothesis is processed independently, counters are sums over
-  // per-hypothesis work, and TopK depends only on the offer multiset.
-  struct ThreadState {
-    std::vector<TopK<Hit>> tops;
-    ShardSearchStats stats;
-    std::vector<std::uint64_t> per_query;
-    std::exception_ptr error;
-  };
-  std::vector<ThreadState> states(threads);
-  std::vector<std::thread> pool;
-  pool.reserve(threads);
-  for (std::size_t t = 0; t < threads; ++t) {
-    ThreadState& state = states[t];
-    state.tops = make_tops(queries.size());
-    if (per_query_candidates) state.per_query.assign(queries.size(), 0);
-    const std::size_t block_first = hypotheses * t / threads;
-    const std::size_t block_last = hypotheses * (t + 1) / threads;
-    pool.emplace_back([&, block_first, block_last, t] {
-      ThreadState& mine = states[t];
-      try {
-        search_open_block(*this, shard, index, fragment, queries, occupied_ptr,
-                          block_first, block_last, mine.tops, mine.stats,
-                          per_query_candidates ? &mine.per_query : nullptr);
-      } catch (...) {
-        mine.error = std::current_exception();
-      }
-    });
-  }
-  for (std::thread& worker : pool) worker.join();
-  for (ThreadState& state : states)
-    if (state.error) std::rethrow_exception(state.error);
-
-  for (std::size_t t = 0; t < threads; ++t) {
-    const ThreadState& state = states[t];
-    for (std::size_t q = 0; q < tops.size(); ++q) tops[q].merge(state.tops[q]);
-    stats += state.stats;
-    if (per_query_candidates)
-      for (std::size_t q = 0; q < state.per_query.size(); ++q)
-        (*per_query_candidates)[q] += state.per_query[q];
-  }
-  return stats;
+  return merge_join(*this, std::span<const IndexedCandidate>(index->entries()),
+                    queries, tops, per_query_candidates, config_.kernel_threads,
+                    view);
 }
 
 ShardSearchStats SearchEngine::search_records(
@@ -521,102 +508,11 @@ ShardSearchStats SearchEngine::search_records(
     std::span<TopK<Hit>> tops) const {
   MSP_CHECK_MSG(tops.size() == queries.size(),
                 "tops arity must match query arity");
-  ShardSearchStats stats;
-  if (queries.size() == 0 || records.empty()) return stats;
-
-  // A hypothesis m accepts candidate masses [m − below, m + above], so from
-  // the candidate side a record of mass M matches hypotheses in
-  // [M − above, M + below] — below/above swap direction. Narrow mode has
-  // below == above == tolerance_da, leaving this loop exactly as it was.
-  const double below = config_.window_below();
-  const double above = config_.window_above();
-  const std::vector<double>& sorted = queries.sorted_masses;
-
-  // Trim the record span to the query envelope, then merge-join — the same
-  // forward-sliding window and boundary predicates as search_index_block.
-  const double query_mass_floor = queries.min_mass() - below;
-  const double query_mass_ceil = queries.max_mass() + above;
-  std::size_t first = static_cast<std::size_t>(
-      std::lower_bound(records.begin(), records.end(), query_mass_floor,
-                       [](const CandidateRecord& record, double mass) {
-                         return record.mass < mass;
-                       }) -
-      records.begin());
-  std::size_t last = first;
-  while (last < records.size() && records[last].mass <= query_mass_ceil)
-    ++last;
-  if (first >= last) return stats;
-
-  std::size_t lo = static_cast<std::size_t>(
-      std::lower_bound(sorted.begin(), sorted.end(),
-                       records[first].mass - above) -
-      sorted.begin());
-  std::size_t hi = lo;
-
-  FragmentIonWorkspace workspace;
-  const TheoreticalOptions ion_options;  // same defaults as the index path
-
-  for (std::size_t e = first; e < last; ++e) {
-    const CandidateRecord& record = records[e];
-    const double mass = record.mass;
-    while (lo < sorted.size() && sorted[lo] < mass - above) ++lo;
-    if (hi < lo) hi = lo;
-    while (hi < sorted.size() && sorted[hi] <= mass + below) ++hi;
-    if (lo == hi) continue;
-
-    const std::string_view peptide(record.peptide, record.length);
-    bool built = false;
-
-    for (std::size_t pos = lo; pos < hi; ++pos) {
-      const std::uint32_t q = queries.order[pos];
-      if (!built) {
-        build_ion_ladder(fragment_ions_into(peptide, ion_options, workspace),
-                         config_.bin_width, workspace.ladder);
-        built = true;
-        ++stats.ions_built;
-      }
-      double score;
-      if (config_.open_search()) {
-        // The same gate the CandidateSource paths apply — the record-band
-        // form of open search stays hit-identical to search_shard().
-        const std::size_t votes =
-            shared_peak_count(queries.contexts[q].binned(), workspace.ladder);
-        if (votes < config_.vote_gate()) {
-          ++stats.candidates_prefiltered;
-          continue;
-        }
-        score = score_candidate(queries.contexts[q], peptide, workspace.ladder);
-      } else if (config_.prefilter) {
-        const std::size_t shared =
-            shared_peak_count(queries.contexts[q].binned(), workspace.ladder);
-        if (shared < config_.prefilter_min_shared_peaks) {
-          ++stats.candidates_prefiltered;
-          continue;  // the aggressive screen: never fully scored
-        }
-        score = config_.model == ScoreModel::kSharedPeak
-                    ? static_cast<double>(shared)
-                    : score_candidate(queries.contexts[q], peptide,
-                                      workspace.ladder);
-      } else {
-        score = score_candidate(queries.contexts[q], peptide, workspace.ladder);
-      }
-      ++stats.candidates_evaluated;
-      if (score < config_.score_cutoff) continue;
-      ++stats.hits_offered;
-      TopK<Hit>& top = tops[q];
-      if (top.full() && score < top.cutoff()) continue;
-      Hit hit;
-      hit.score = score;
-      hit.protein_id = record.protein_id;  // NUL-padded → C string
-      hit.offset = record.offset;
-      hit.length = record.length;
-      hit.end = static_cast<FragmentEnd>(record.end);
-      hit.mass = mass;
-      hit.peptide = std::string(peptide);
-      top.offer(hit);
-    }
-  }
-  return stats;
+  if (queries.size() == 0 || records.empty()) return {};
+  const auto view = [](const CandidateRecord& record) {
+    return view_of(record);
+  };
+  return merge_join(*this, records, queries, tops, nullptr, 1, view);
 }
 
 ShardSearchStats SearchEngine::search_shard_reference(

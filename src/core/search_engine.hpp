@@ -3,20 +3,26 @@
 // Candidate rule (Section II-A): a prefix or suffix of a database sequence
 // is a candidate for query q iff its neutral mass lies within m(q) ± δ.
 //
-// The kernel is *candidate-centric*: each shard carries a CandidateIndex —
-// its candidates already enumerated and mass-sorted — and search_shard()
-// merge-joins that array against the mass-sorted query hypotheses. Each
-// candidate's theoretical fragment ions are then built exactly once (into a
-// reusable workspace) and scored against every query whose window contains
-// it, instead of being regenerated per (candidate, query) pair. The paper's
-// Discussion identifies on-the-fly candidate generation as the dominant
-// query-processing cost; this is the HiCOPS-style fix. The original
-// database-walking kernel is retained as search_shard_reference() so tests
-// can prove the two are hit-for-hit and counter-for-counter identical.
+// One kernel, two spans. The kernel is *candidate-centric*: it merge-joins
+// a mass-ascending candidate span against the mass-sorted query hypotheses,
+// builds each matched candidate's theoretical fragment ions exactly once
+// (into a reusable workspace) and scores them against every query whose
+// window contains it, instead of regenerating them per (candidate, query)
+// pair. The paper's Discussion identifies on-the-fly candidate generation
+// as the dominant query-processing cost; this is the HiCOPS-style fix. The
+// span is either a shard's CandidateIndex (search_shard) or a band of the
+// serving ring's CandidateRecord layout (search_records); both run the same
+// merge-join and the same per-pair score step, and search_shard fans the
+// join out over kernel_threads. Open search in search_shard swaps the
+// merge-join for a query-centric walk through a CandidateSource but keeps
+// the score step and the fan-out. The
+// original database-walking kernel is retained as search_shard_reference()
+// — the one oracle tests prove every path hit-for-hit identical against.
 //
 // Every algorithm (serial, A, B, master–worker, query transport) funnels
-// through search_shard(), which is what makes the cross-algorithm
-// hit-for-hit validation meaningful.
+// through search_shard(), and the serving ring through search_records(),
+// which is what makes the cross-algorithm hit-for-hit validation
+// meaningful; every caller books the work through charge_kernel().
 #pragma once
 
 #include <cstdint>
@@ -102,6 +108,17 @@ inline double kernel_cost_seconds(const ShardSearchStats& stats,
              model.seconds_per_posting;
 }
 
+namespace sim {
+class Comm;
+}  // namespace sim
+
+/// Book one kernel invocation on `comm`'s rank: charge its
+/// kernel_cost_seconds under the run's compute model and bump the
+/// `candidates`, `prefiltered`, `offers`, `ions` and `postings` counters —
+/// the one place every algorithm records kernel work, so every run reports the
+/// same counter set.
+void charge_kernel(sim::Comm& comm, const ShardSearchStats& stats);
+
 class SearchEngine {
  public:
   explicit SearchEngine(SearchConfig config);
@@ -124,14 +141,14 @@ class SearchEngine {
   /// If `per_query_candidates` is non-null it accumulates, per query, the
   /// number of candidates evaluated (Fig. 1b measurements).
   ///
-  /// The candidate-centric kernel: merge-joins `index` (the shard's
-  /// mass-sorted CandidateIndex, normally shipped with the shard bytes)
-  /// against the sorted query hypotheses, building each matched candidate's
-  /// fragment ions once. When `index` is null a temporary one is built
-  /// in-place, so every caller gets the same path. When
-  /// config().kernel_threads > 1 the index range fans out over that many
-  /// threads with per-thread top-τ lists merged under the total hit order —
-  /// hits and counters are identical for every thread count.
+  /// The candidate-centric kernel over the index span: merge-joins `index`
+  /// (the shard's mass-sorted CandidateIndex, normally shipped with the
+  /// shard bytes) against the sorted query hypotheses, building each
+  /// matched candidate's fragment ions once. When `index` is null a
+  /// temporary one is built in-place, so every caller gets the same path.
+  /// When config().kernel_threads > 1 the index range fans out over that
+  /// many threads with per-thread top-τ lists merged under the total hit
+  /// order — hits and counters are identical for every thread count.
   ///
   /// When config().open_search() the kernel switches to the query-centric
   /// open form: each hypothesis windows [m − window_below, m + window_above]
@@ -148,14 +165,14 @@ class SearchEngine {
       const CandidateIndex* index = nullptr,
       const FragmentIndex* fragment = nullptr) const;
 
-  /// The record-array form of the candidate-centric kernel: merge-joins a
-  /// mass-ascending CandidateRecord span (a band of the serving ring's
-  /// sorted record layout, or any partial fetch of one) against the sorted
-  /// query hypotheses, with the same window predicates, lazy one-build-per-
-  /// candidate ion generation, prefilter screen, and hit admission as
-  /// search_shard() — scores and hits are bit-identical to scoring the same
-  /// candidates through the index path. Single-threaded: a band visit
-  /// touches few records, so there is nothing to fan out.
+  /// The same candidate-centric kernel over the record span: runs
+  /// search_shard()'s merge-join and score step over a mass-ascending
+  /// CandidateRecord span (a band of the serving ring's sorted record
+  /// layout, or any partial fetch of one). In narrow mode hits and counters
+  /// equal search_shard()'s over the same candidates; in open mode the
+  /// vote gate screens each (record, hypothesis) pair, so hits equal both
+  /// CandidateSources'. Single-threaded: a band visit touches few records,
+  /// so there is nothing to fan out.
   ShardSearchStats search_records(std::span<const CandidateRecord> records,
                                   const PreparedQueries& queries,
                                   std::span<TopK<Hit>> tops) const;
@@ -174,17 +191,12 @@ class SearchEngine {
   double score_candidate(const QueryContext& context,
                          std::string_view peptide) const;
 
-  /// Same, over the candidate's precomputed fragment ions — builds the SoA
-  /// ladder and funnels through the ladder overload. Scores are
-  /// bit-identical to the string overload.
-  double score_candidate(const QueryContext& context, std::string_view peptide,
-                         const std::vector<FragmentIon>& ions) const;
-
   /// Same, over the candidate's prebuilt ion ladder — the form the blocked
   /// kernel calls so the ladder is built once per candidate and reused
   /// across every matching query. `peptide` is still needed for the
-  /// spectral-library lookup in hybrid mode. Every overload funnels here,
-  /// which is what keeps the reference oracle bit-identical to the kernels.
+  /// spectral-library lookup in hybrid mode. The string overload funnels
+  /// here, which is what keeps the reference oracle bit-identical to the
+  /// kernels.
   double score_candidate(const QueryContext& context, std::string_view peptide,
                          const IonLadder& ladder) const;
 
@@ -200,14 +212,6 @@ class SearchEngine {
   std::vector<TopK<Hit>> make_tops(std::size_t query_count) const;
 
  private:
-  /// The query-centric open-search kernel behind search_shard(); `index`
-  /// has already been validated (or built) by the caller.
-  ShardSearchStats search_shard_open(
-      const ProteinDatabase& shard, const PreparedQueries& queries,
-      std::span<TopK<Hit>> tops,
-      std::vector<std::uint64_t>* per_query_candidates,
-      const CandidateIndex& index, const FragmentIndex* fragment) const;
-
   SearchConfig config_;
 };
 

@@ -10,6 +10,7 @@
 // fails corruption the same way (IoError with a record-specific message).
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <span>
@@ -44,13 +45,18 @@ void get_record_header(Reader& reader, std::uint64_t magic,
 
 /// Decode a fetched byte payload into typed records: the payload must be a
 /// whole number of `T`s (IoError otherwise — a short RMA fetch or corrupted
-/// band would misparse every following record), and the bytes land in `out`
-/// via one memcpy. This is the single sanctioned bytes→typed decode path;
-/// the mspar-unchecked-wire-read tidy check flags raw memcpy/
-/// reinterpret_cast decodes that bypass it.
-template <typename T>
+/// band would misparse every following record), the bytes land in `out`,
+/// and `check(record, index)`, which throws on a malformed record, runs
+/// over every record. Copy and check go 16 KB at a time, so each record is
+/// checked while it is still in L1: bands are decoded on every ring step,
+/// and a second pass over them would cost as much memory traffic as the
+/// copy. This is the single sanctioned bytes→typed decode path; the
+/// mspar-unchecked-wire-read tidy check flags raw memcpy/reinterpret_cast
+/// decodes that bypass it.
+template <typename T, typename Check>
 std::span<const T> checked_array_copy(std::span<const char> bytes,
-                                      std::vector<T>& out, const char* what) {
+                                      std::vector<T>& out, const char* what,
+                                      const Check& check) {
   static_assert(std::is_trivially_copyable_v<T>,
                 "wire records must be trivially copyable");
   if (bytes.size() % sizeof(T) != 0)
@@ -58,8 +64,15 @@ std::span<const T> checked_array_copy(std::span<const char> bytes,
                   std::to_string(bytes.size()) +
                   " bytes is not a whole number of " +
                   std::to_string(sizeof(T)) + "-byte records");
-  out.resize(bytes.size() / sizeof(T));
-  if (!out.empty()) std::memcpy(out.data(), bytes.data(), bytes.size());
+  const std::size_t count = bytes.size() / sizeof(T);
+  out.resize(count);
+  constexpr std::size_t kBlock = std::max<std::size_t>(1, 16384 / sizeof(T));
+  for (std::size_t first = 0; first < count; first += kBlock) {
+    const std::size_t last = std::min(count, first + kBlock);
+    std::memcpy(out.data() + first, bytes.data() + first * sizeof(T),
+                (last - first) * sizeof(T));
+    for (std::size_t i = first; i < last; ++i) check(out[i], i);
+  }
   return {out.data(), out.size()};
 }
 

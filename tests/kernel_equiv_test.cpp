@@ -11,12 +11,15 @@
 // without an injected fault schedule.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <limits>
 #include <string>
 #include <vector>
 
 #include "core/algorithm_a.hpp"
 #include "core/candidate_index.hpp"
+#include "core/candidate_record.hpp"
 #include "core/packdb.hpp"
 #include "core/search_engine.hpp"
 #include "dbgen/protein_gen.hpp"
@@ -230,6 +233,79 @@ TEST(KernelEquivalence, RejectsIndexBuiltUnderDifferentParams) {
   std::vector<TopK<Hit>> tops = engine.make_tops(prepared.size());
   EXPECT_THROW(engine.search_shard(w.db, prepared, tops, nullptr, &wrong),
                InvalidArgument);
+}
+
+// ---------- record-band kernel vs. index kernel and reference ----------
+
+/// The whole shard as one mass-sorted record band — what a serving-ring
+/// rank holds when its band covers every candidate mass.
+std::vector<CandidateRecord> whole_shard_band(const ProteinDatabase& db,
+                                              const SearchConfig& config) {
+  std::vector<CandidateRecord> band = enumerate_candidate_records(
+      db, config, 0.0, std::numeric_limits<double>::infinity());
+  std::sort(band.begin(), band.end(), candidate_record_less);
+  return band;
+}
+
+KernelRun run_records(const SearchEngine& engine,
+                      const std::vector<CandidateRecord>& band,
+                      const PreparedQueries& prepared) {
+  KernelRun run;
+  std::vector<TopK<Hit>> tops = engine.make_tops(prepared.size());
+  run.stats = engine.search_records(band, prepared, tops);
+  run.hits = engine.finalize(tops);
+  return run;
+}
+
+TEST(KernelEquivalence, RecordBandMatchesIndexAndReference) {
+  const Workload& w = workload();
+  enum class Mode { kNarrow, kPrefilter, kCharges, kOpen };
+  for (const Mode mode :
+       {Mode::kNarrow, Mode::kPrefilter, Mode::kCharges, Mode::kOpen}) {
+    for (const ScoreModel model :
+         {ScoreModel::kLikelihood, ScoreModel::kHyperscore,
+          ScoreModel::kSharedPeak, ScoreModel::kXcorr}) {
+      SearchConfig config = base_config();
+      config.model = model;
+      config.prefilter = mode == Mode::kPrefilter;
+      config.try_alternate_charges = mode == Mode::kCharges;
+      if (mode == Mode::kOpen) {
+        config.open_window_da = 60.0;
+        config.min_fragment_votes = 3;
+      }
+      const std::string label = "mode " +
+                                std::to_string(static_cast<int>(mode)) +
+                                " model=" +
+                                std::to_string(static_cast<int>(model));
+
+      const SearchEngine engine(config);
+      const PreparedQueries prepared = engine.prepare(w.queries);
+      const std::vector<CandidateRecord> band = whole_shard_band(w.db, config);
+      ASSERT_FALSE(band.empty()) << label;
+      const KernelRun records = run_records(engine, band, prepared);
+      const KernelRun indexed = run_indexed(engine, w.db, prepared);
+      const KernelRun reference = run_reference(engine, w.db, prepared);
+      expect_hits_identical(records.hits, indexed.hits, label + " vs index");
+      expect_hits_identical(records.hits, reference.hits,
+                            label + " vs reference");
+      std::size_t total_hits = 0;
+      for (const std::vector<Hit>& hits : records.hits)
+        total_hits += hits.size();
+      EXPECT_GT(total_hits, 0u) << label;
+      if (mode == Mode::kOpen) continue;
+      // Narrow windows: the record band and the index are two spans of the
+      // same candidates, so the merge-join does the same work on both.
+      EXPECT_EQ(records.stats.candidates_evaluated,
+                indexed.stats.candidates_evaluated)
+          << label;
+      EXPECT_EQ(records.stats.candidates_prefiltered,
+                indexed.stats.candidates_prefiltered)
+          << label;
+      EXPECT_EQ(records.stats.hits_offered, indexed.stats.hits_offered)
+          << label;
+      EXPECT_EQ(records.stats.ions_built, indexed.stats.ions_built) << label;
+    }
+  }
 }
 
 // ---------- kernel_threads determinism matrix ----------

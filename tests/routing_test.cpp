@@ -544,6 +544,100 @@ TEST(RoutingWire, CorruptedHistogramRecordsAreRejected) {
                   "more nonzero buckets than the grid");
 }
 
+// Candidate-record bands: every band the ring, the candidate store and the
+// record exchange receive goes through decode_candidate_records, which must
+// pass a valid band through unchanged and reject each malformed field before
+// the kernel can read past a record.
+
+std::vector<CandidateRecord> sorted_band(const Workload& w) {
+  std::vector<CandidateRecord> band = enumerate_candidate_records(
+      w.db, make_config(0.5), 0.0, std::numeric_limits<double>::infinity());
+  std::sort(band.begin(), band.end(), candidate_record_less);
+  return band;
+}
+
+std::vector<char> band_bytes(const std::vector<CandidateRecord>& band) {
+  const char* begin = reinterpret_cast<const char*>(band.data());
+  return {begin, begin + band.size() * sizeof(CandidateRecord)};
+}
+
+TEST(RoutingWire, CandidateRecordBandRoundTrips) {
+  const std::vector<CandidateRecord> band = sorted_band(workload(false));
+  ASSERT_GT(band.size(), 100u);
+  const std::vector<char> bytes = band_bytes(band);
+  std::vector<CandidateRecord> out;
+  const std::span<const CandidateRecord> decoded =
+      decode_candidate_records(bytes, out, "test band");
+  ASSERT_EQ(decoded.size(), band.size());
+  EXPECT_EQ(std::memcmp(decoded.data(), band.data(), bytes.size()), 0);
+
+  // The decoded band is a working kernel span: it scores exactly like the
+  // band it was encoded from.
+  const SearchEngine engine(make_config(0.5));
+  const PreparedQueries prepared = engine.prepare(workload(false).queries);
+  std::vector<TopK<Hit>> from_band = engine.make_tops(prepared.size());
+  std::vector<TopK<Hit>> from_bytes = engine.make_tops(prepared.size());
+  engine.search_records(band, prepared, from_band);
+  engine.search_records(decoded, prepared, from_bytes);
+  expect_hits_identical(engine.finalize(from_bytes),
+                        engine.finalize(from_band), "decoded band");
+
+  std::vector<CandidateRecord> empty;
+  EXPECT_TRUE(decode_candidate_records({}, empty, "empty band").empty());
+}
+
+TEST(RoutingWire, CorruptedCandidateRecordsAreRejected) {
+  std::vector<CandidateRecord> band = sorted_band(workload(false));
+  band.resize(4);
+  const auto expect_rejected = [&](const std::string& field,
+                                   const auto& corrupt) {
+    std::vector<CandidateRecord> bad = band;
+    corrupt(bad[2]);
+    std::vector<CandidateRecord> out;
+    try {
+      decode_candidate_records(band_bytes(bad), out, "test band");
+      ADD_FAILURE() << field << ": corrupted record was accepted";
+    } catch (const IoError& error) {
+      const std::string message = error.what();
+      EXPECT_NE(message.find("test band"), std::string::npos) << message;
+      EXPECT_NE(message.find("record 2"), std::string::npos) << message;
+      EXPECT_NE(message.find(field), std::string::npos) << message;
+    }
+  };
+
+  expect_rejected("mass", [](CandidateRecord& r) { r.mass = std::nan(""); });
+  expect_rejected("mass", [](CandidateRecord& r) {
+    r.mass = std::numeric_limits<double>::infinity();
+  });
+  expect_rejected("length", [](CandidateRecord& r) { r.length = 0; });
+  expect_rejected("length", [](CandidateRecord& r) {
+    r.length = sizeof(r.peptide);
+  });
+  expect_rejected("length", [](CandidateRecord& r) { r.length = 0xFFFF; });
+  expect_rejected("protein_id", [](CandidateRecord& r) {
+    std::memset(r.protein_id, 'P', sizeof(r.protein_id));
+  });
+  expect_rejected("end", [](CandidateRecord& r) {
+    r.end = static_cast<std::uint8_t>(FragmentEnd::kInternal) + 1;
+  });
+  expect_rejected("end", [](CandidateRecord& r) { r.end = 0xFF; });
+
+  // The boundary values themselves are legal.
+  std::vector<CandidateRecord> edge = band;
+  edge[0].length = sizeof(edge[0].peptide) - 1;
+  edge[1].end = static_cast<std::uint8_t>(FragmentEnd::kInternal);
+  std::memset(edge[2].protein_id, 'P', sizeof(edge[2].protein_id) - 1);
+  edge[2].protein_id[sizeof(edge[2].protein_id) - 1] = '\0';
+  std::vector<CandidateRecord> out;
+  EXPECT_EQ(decode_candidate_records(band_bytes(edge), out, "edge").size(),
+            edge.size());
+
+  // A torn payload (not a whole number of records) is rejected too.
+  std::vector<char> torn = band_bytes(band);
+  torn.pop_back();
+  EXPECT_THROW(decode_candidate_records(torn, out, "torn band"), IoError);
+}
+
 // Legacy images and unknown shards: no histogram record means
 // route-everything, never a wrong skip.
 
