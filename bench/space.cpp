@@ -70,13 +70,11 @@ int main(int argc, char** argv) {
   std::size_t baseline_wall = 0;
   for (std::size_t n = 1000; n <= sequences; n *= 2) {
     const std::string sub_image = workload.image_of_first(n);
-    const msp::sim::Runtime runtime(p_wall, msp::bench::bench_network(),
-                                    msp::bench::bench_compute());
-    msp::MasterWorkerOptions options;
-    options.memory_budget_bytes = budget;
+    msp::sim::Runtime runtime(p_wall, msp::bench::bench_network(),
+                              msp::bench::bench_compute());
+    runtime.set_memory_budget(budget);
     try {
-      msp::run_master_worker(runtime, sub_image, workload.queries, config,
-                             options);
+      msp::run_master_worker(runtime, sub_image, workload.queries, config);
       baseline_wall = n;
     } catch (const msp::OutOfMemoryBudget&) {
       std::cout << "baseline (replicated DB): OOM at " << msp::group_digits(n)
@@ -86,12 +84,11 @@ int main(int argc, char** argv) {
     }
   }
   {
-    const msp::sim::Runtime runtime(p_wall, msp::bench::bench_network(),
-                                    msp::bench::bench_compute());
-    msp::AlgorithmAOptions options;
-    options.memory_budget_bytes = budget;
+    msp::sim::Runtime runtime(p_wall, msp::bench::bench_network(),
+                              msp::bench::bench_compute());
+    runtime.set_memory_budget(budget);
     try {
-      msp::run_algorithm_a(runtime, image, workload.queries, config, options);
+      msp::run_algorithm_a(runtime, image, workload.queries, config);
       std::cout << "Algorithm A (O(N/p)): full " << msp::group_digits(sequences)
                 << "-sequence database fits on p=" << p_wall
                 << " under the same budget\n";

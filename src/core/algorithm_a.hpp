@@ -40,9 +40,6 @@ struct AlgorithmAOptions {
   /// routing-decision charge instead of a fetch plus a scoring pass. Hits
   /// are bit-identical with routing on or off.
   bool mass_routing = true;
-  /// Per-rank memory budget in bytes (the paper's 1 GB/process cap);
-  /// 0 disables. Exceeding it throws OutOfMemoryBudget.
-  std::size_t memory_budget_bytes = 0;
 };
 
 /// Result of a simulated parallel run.

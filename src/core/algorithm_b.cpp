@@ -4,6 +4,7 @@
 
 #include "core/packdb.hpp"
 #include "core/partition.hpp"
+#include "core/rank_steps.hpp"
 #include "core/search_engine.hpp"
 #include "core/sortmz.hpp"
 #include "mass/amino_acid.hpp"
@@ -33,6 +34,10 @@ AlgorithmBResult run_algorithm_b(const sim::Runtime& runtime,
                                  const std::vector<Spectrum>& queries,
                                  const SearchConfig& config,
                                  const AlgorithmBOptions& options) {
+  if (runtime.faults().has_crashes())
+    throw FaultUnrecoverable(
+        "algorithm B: the sorted shards have no replica to recover a "
+        "crashed rank from");
   const int p = runtime.size();
   const SearchEngine engine(config);
 
@@ -41,14 +46,10 @@ AlgorithmBResult run_algorithm_b(const sim::Runtime& runtime,
   sim::RunReport report = runtime.run([&](sim::Comm& comm) {
     const int rank = comm.rank();
     const auto& cost = comm.compute_model();
-    if (options.memory_budget_bytes != 0)
-      comm.set_memory_budget(options.memory_budget_bytes);
 
     // ---- B1: load (identical to A1) ----
     comm.trace_mark("B1 load+prepare");
-    ProteinDatabase local_db = load_database_shard(fasta_image, rank, p);
-    comm.clock().charge_io(static_cast<double>(local_db.total_residues()) *
-                           cost.seconds_per_residue_load);
+    ProteinDatabase local_db = detail::load_rank_chunk(comm, fasta_image);
     const QueryRange block = query_block(queries.size(), rank, p);
     const std::span<const Spectrum> local_queries(queries.data() + block.begin,
                                                   block.count());
@@ -59,7 +60,7 @@ AlgorithmBResult run_algorithm_b(const sim::Runtime& runtime,
 
     // ---- B2: parallel counting sort by parent m/z ----
     comm.trace_mark("B2 mz sort");
-    SortedShard sorted = parallel_sort_by_mz(comm, local_db);
+    const SortedShard sorted = parallel_sort_by_mz(comm, local_db);
     local_db = ProteinDatabase{};  // sorted copy replaces the unsorted shard
     comm.bump("sort_us",
               static_cast<std::uint64_t>(sorted.sort_seconds * 1e6));
@@ -81,24 +82,12 @@ AlgorithmBResult run_algorithm_b(const sim::Runtime& runtime,
 
     // Index the sorted shard once; the restricted ring ships it with the
     // shard bytes (same candidate-centric transport as Algorithm A).
-    const CandidateIndex local_index =
-        CandidateIndex::build(sorted.shard, engine.config());
-    comm.clock().charge_compute(static_cast<double>(local_index.size()) *
-                                cost.seconds_per_mz);
-    const bool ship_fragment =
-        config.open_search() &&
-        config.candidate_source != CandidateSourceKind::kMassWindow;
-    FragmentIndex local_fragment;
-    if (ship_fragment) {
-      local_fragment =
-          FragmentIndex::build(sorted.shard, local_index, config.bin_width);
-      comm.clock().charge_compute(
-          static_cast<double>(local_fragment.posting_count()) *
-          cost.seconds_per_mz);
-    }
+    const detail::ShardIndexes local =
+        detail::build_shard_indexes(comm, sorted.shard, config);
     std::vector<char> local_pack =
-        ship_fragment ? pack_database(sorted.shard, local_index, local_fragment)
-                      : pack_database(sorted.shard, local_index);
+        local.has_fragment
+            ? pack_database(sorted.shard, local.index, local.fragment)
+            : pack_database(sorted.shard, local.index);
     comm.charge_alloc(local_pack.size());
     sim::Window window(comm, local_pack);
     std::size_t max_shard = 0;
@@ -147,18 +136,9 @@ AlgorithmBResult run_algorithm_b(const sim::Runtime& runtime,
           window.wait(fetch);
           fetched = unpack_shard(comp_buffer);
         }
-        const ProteinDatabase& shard_db =
-            current == rank ? sorted.shard : fetched.db;
-        const CandidateIndex* shard_index =
-            current == rank ? &local_index
-                            : (fetched.has_index ? &fetched.index : nullptr);
-        const FragmentIndex* shard_fragment =
-            current == rank
-                ? (ship_fragment ? &local_fragment : nullptr)
-                : (fetched.has_fragment ? &fetched.fragment : nullptr);
-        const ShardSearchStats stats = engine.search_shard(
-            shard_db, prepared, tops, nullptr, shard_index, shard_fragment);
-        charge_kernel(comm, stats);
+        detail::search_resident(comm, engine, sorted.shard, local,
+                                current == rank ? nullptr : &fetched,
+                                prepared, tops);
       }
 
       if (options.mask && prefetch.active) {
@@ -172,20 +152,7 @@ AlgorithmBResult run_algorithm_b(const sim::Runtime& runtime,
 
     // ---- report ----
     comm.trace_mark("B4 finalize");
-    QueryHits local_hits = engine.finalize(tops);
-    if (config.open_search()) {
-      std::uint64_t misses = 0;
-      for (const std::vector<Hit>& hits : local_hits)
-        if (hits.empty()) ++misses;
-      comm.bump("open_index_miss_queries", misses);
-    }
-    std::size_t reported = 0;
-    for (std::size_t q = 0; q < local_hits.size(); ++q) {
-      reported += local_hits[q].size();
-      all_hits[block.begin + q] = std::move(local_hits[q]);
-    }
-    comm.clock().charge_io(static_cast<double>(reported) *
-                           cost.seconds_per_hit_output);
+    detail::publish_hits(comm, engine, tops, all_hits, block.begin);
   });
 
   AlgorithmBResult result;

@@ -24,17 +24,15 @@ namespace msp {
 struct AlgorithmBOptions {
   bool mask = true;
   bool fence_per_iteration = true;
-  std::size_t memory_budget_bytes = 0;
 };
 
-struct AlgorithmBResult {
-  sim::RunReport report;
-  QueryHits hits;
-  std::uint64_t candidates = 0;
+struct AlgorithmBResult : ParallelRunResult {
   double max_sort_seconds = 0.0;   ///< Table IV's "Sorting time" column
   double mean_shards_visited = 0.0;  ///< sender-group size actually used
 };
 
+/// Crash schedules are rejected up front (FaultUnrecoverable): the sorted
+/// shards have no replica to recover from.
 AlgorithmBResult run_algorithm_b(const sim::Runtime& runtime,
                                  const std::string& fasta_image,
                                  const std::vector<Spectrum>& queries,

@@ -36,9 +36,6 @@ HybridResult run_algorithm_hybrid(const sim::Runtime& runtime,
   QueryHits all_hits(queries.size());
 
   sim::RunReport report = runtime.run([&](sim::Comm& world) {
-    if (options.memory_budget_bytes != 0)
-      world.set_memory_budget(options.memory_budget_bytes);
-
     // Sub-groups are contiguous rank blocks: group = rank / group_size.
     const int color = world.rank() / group_size;
     world.trace_mark("hybrid split g=" + std::to_string(color));

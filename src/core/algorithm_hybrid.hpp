@@ -32,13 +32,9 @@ struct HybridOptions {
   int groups = 0;
   bool mask = true;
   bool fence_per_iteration = true;
-  std::size_t memory_budget_bytes = 0;
 };
 
-struct HybridResult {
-  sim::RunReport report;
-  QueryHits hits;
-  std::uint64_t candidates = 0;
+struct HybridResult : ParallelRunResult {
   int groups_used = 0;
 };
 

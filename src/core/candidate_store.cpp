@@ -4,6 +4,7 @@
 #include <array>
 
 #include "core/partition.hpp"
+#include "core/rank_steps.hpp"
 #include "core/search_engine.hpp"
 #include "mass/amino_acid.hpp"
 #include "scoring/top_hits.hpp"
@@ -69,13 +70,22 @@ std::pair<std::size_t, std::size_t> directory_range(const StoreMeta& meta,
 CandidateStoreResult run_candidate_store(const sim::Runtime& runtime,
                                          const std::string& fasta_image,
                                          const std::vector<Spectrum>& queries,
-                                         const SearchConfig& config,
-                                         const CandidateStoreOptions& options) {
+                                         const SearchConfig& config) {
   MSP_CHECK_MSG(config.candidate_mode == CandidateMode::kPrefixSuffix,
                 "candidate store implements the paper's prefix/suffix rule");
   MSP_CHECK_MSG(config.max_candidate_length <
                     sizeof(CandidateRecord{}.peptide),
                 "candidate store caps peptide length at 63 residues");
+  MSP_CHECK_MSG(!config.prefilter,
+                "candidate store does not implement the prefilter");
+  MSP_CHECK_MSG(!config.try_alternate_charges,
+                "candidate store scores the reported charge only");
+  MSP_CHECK_MSG(!config.open_search(),
+                "candidate store implements narrow-window search only");
+  if (runtime.faults().has_crashes())
+    throw FaultUnrecoverable(
+        "candidate store: no replica to recover a crashed rank's records "
+        "from");
   const int p = runtime.size();
   const SearchEngine engine(config);
 
@@ -84,23 +94,16 @@ CandidateStoreResult run_candidate_store(const sim::Runtime& runtime,
   sim::RunReport report = runtime.run([&](sim::Comm& comm) {
     const int rank = comm.rank();
     const auto& cost = comm.compute_model();
-    if (options.memory_budget_bytes != 0)
-      comm.set_memory_budget(options.memory_budget_bytes);
 
     // ---- build: load, window, enumerate, sort ----
     comm.trace_mark("store build");
     const double build_start = comm.clock().now();
-    ProteinDatabase local_db = load_database_shard(fasta_image, rank, p);
-    comm.clock().charge_io(static_cast<double>(local_db.total_residues()) *
-                           cost.seconds_per_residue_load);
+    ProteinDatabase local_db = detail::load_rank_chunk(comm, fasta_image);
 
     const QueryRange block = query_block(queries.size(), rank, p);
     const std::span<const Spectrum> local_queries(queries.data() + block.begin,
                                                   block.count());
-    std::size_t query_bytes = 0;
-    for (const Spectrum& q : local_queries)
-      query_bytes += q.peaks().size() * sizeof(Peak) + 4096;
-    comm.charge_alloc(query_bytes);
+    detail::charge_query_block(comm, local_queries);
     const PreparedQueries prepared = engine.prepare(local_queries);
     comm.clock().charge_compute(static_cast<double>(block.count()) *
                                 cost.seconds_per_query_prep);
@@ -204,14 +207,7 @@ CandidateStoreResult run_candidate_store(const sim::Runtime& runtime,
     // Window close is collective.
     comm.barrier();
 
-    QueryHits local_hits = engine.finalize(tops);
-    std::size_t reported = 0;
-    for (std::size_t q = 0; q < local_hits.size(); ++q) {
-      reported += local_hits[q].size();
-      all_hits[block.begin + q] = std::move(local_hits[q]);
-    }
-    comm.clock().charge_io(static_cast<double>(reported) *
-                           cost.seconds_per_hit_output);
+    detail::publish_hits(comm, engine, tops, all_hits, block.begin);
   });
 
   CandidateStoreResult result;

@@ -35,26 +35,21 @@
 
 namespace msp {
 
-struct CandidateStoreOptions {
-  bool fence_per_iteration = true;  ///< kept for symmetry; query phase is
-                                    ///  demand-driven and does not fence
-  std::size_t memory_budget_bytes = 0;
-  /// Directory resolution: each rank publishes this many (mass → record
-  /// index) samples so requesters can bound partial fetches.
-  std::size_t directory_entries = 256;
-};
-
-struct CandidateStoreResult {
-  sim::RunReport report;
-  QueryHits hits;
-  std::uint64_t candidates = 0;        ///< evaluations (scored records)
+/// `candidates` counts evaluations (scored records).
+struct CandidateStoreResult : ParallelRunResult {
   std::uint64_t stored_candidates = 0; ///< records built into the store
   double build_seconds = 0.0;          ///< max over ranks (store + sort)
 };
 
-CandidateStoreResult run_candidate_store(
-    const sim::Runtime& runtime, const std::string& fasta_image,
-    const std::vector<Spectrum>& queries, const SearchConfig& config,
-    const CandidateStoreOptions& options = {});
+/// The store scores each query's reported precursor mass at ±tolerance_da
+/// with the full model, so it rejects (InvalidArgument) the configs whose
+/// hits that cannot reproduce: tryptic candidates, peptides over 63
+/// residues, the prefilter, alternate charge hypotheses and open search.
+/// Crash schedules are rejected too (FaultUnrecoverable): the store has no
+/// replica to recover a dead rank's records from.
+CandidateStoreResult run_candidate_store(const sim::Runtime& runtime,
+                                         const std::string& fasta_image,
+                                         const std::vector<Spectrum>& queries,
+                                         const SearchConfig& config);
 
 }  // namespace msp

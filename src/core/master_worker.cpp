@@ -5,6 +5,7 @@
 #include <map>
 
 #include "core/packdb.hpp"
+#include "core/rank_steps.hpp"
 #include "core/search_engine.hpp"
 #include "core/wire.hpp"
 #include "io/fasta.hpp"
@@ -67,16 +68,14 @@ ParallelRunResult run_master_worker(const sim::Runtime& runtime,
   sim::RunReport report = runtime.run([&](sim::Comm& comm) {
     const int rank = comm.rank();
     const auto& cost = comm.compute_model();
-    if (options.memory_budget_bytes != 0)
-      comm.set_memory_budget(options.memory_budget_bytes);
 
     // Worker-side search of one query batch against the full database. The
-    // worker's candidate index is built once at load time and reused by
-    // every batch it is dealt.
+    // worker's indexes are built once at load time and reused by every
+    // batch it is dealt (the fragment index never ships: workers hold the
+    // whole database).
     auto process_batch = [&](const ProteinDatabase& db,
-                             const CandidateIndex& index,
-                             const FragmentIndex* fragment, std::size_t begin,
-                             std::size_t count) {
+                             const detail::ShardIndexes& indexes,
+                             std::size_t begin, std::size_t count) {
       comm.trace_mark("batch [" + std::to_string(begin) + ", " +
                       std::to_string(begin + count) + ")");
       const std::span<const Spectrum> batch(queries.data() + begin, count);
@@ -84,23 +83,9 @@ ParallelRunResult run_master_worker(const sim::Runtime& runtime,
       comm.clock().charge_compute(static_cast<double>(count) *
                                   cost.seconds_per_query_prep);
       std::vector<TopK<Hit>> tops = engine.make_tops(count);
-      const ShardSearchStats stats =
-          engine.search_shard(db, prepared, tops, nullptr, &index, fragment);
-      charge_kernel(comm, stats);
-      QueryHits hits = engine.finalize(tops);
-      if (config.open_search()) {
-        std::uint64_t misses = 0;
-        for (const std::vector<Hit>& per_query : hits)
-          if (per_query.empty()) ++misses;
-        comm.bump("open_index_miss_queries", misses);
-      }
-      std::size_t reported = 0;
-      for (std::size_t q = 0; q < hits.size(); ++q) {
-        reported += hits[q].size();
-        all_hits[begin + q] = std::move(hits[q]);
-      }
-      comm.clock().charge_io(static_cast<double>(reported) *
-                             cost.seconds_per_hit_output);
+      detail::search_resident(comm, engine, db, indexes, nullptr, prepared,
+                              tops);
+      detail::publish_hits(comm, engine, tops, all_hits, begin);
     };
 
     // Every worker loads the ENTIRE database — the O(N) space baseline.
@@ -115,39 +100,16 @@ ParallelRunResult run_master_worker(const sim::Runtime& runtime,
       return db;
     };
 
-    auto build_index = [&](const ProteinDatabase& db) {
-      CandidateIndex index = CandidateIndex::build(db, engine.config());
-      comm.clock().charge_compute(static_cast<double>(index.size()) *
-                                  cost.seconds_per_mz);
-      return index;
-    };
-
-    // Workers hold the whole database, so the fragment index is built once
-    // at load time (never shipped) and reused by every batch.
-    auto build_fragment = [&](const ProteinDatabase& db,
-                              const CandidateIndex& index) {
-      FragmentIndex fragment;
-      if (config.open_search() &&
-          config.candidate_source != CandidateSourceKind::kMassWindow) {
-        fragment = FragmentIndex::build(db, index, config.bin_width);
-        comm.clock().charge_compute(
-            static_cast<double>(fragment.posting_count()) *
-            cost.seconds_per_mz);
-      }
-      return fragment;
-    };
-
     if (p == 1) {
       // Uni-worker degenerate case: serial MSPolygraph.
       const ProteinDatabase db = load_full_database();
-      const CandidateIndex index = build_index(db);
-      const FragmentIndex fragment = build_fragment(db, index);
+      const detail::ShardIndexes indexes =
+          detail::build_shard_indexes(comm, db, config);
       for (std::size_t begin = 0; begin < queries.size();
            begin += options.batch_size) {
         const std::size_t count =
             std::min(options.batch_size, queries.size() - begin);
-        process_batch(db, index, fragment.empty() ? nullptr : &fragment, begin,
-                      count);
+        process_batch(db, indexes, begin, count);
       }
       return;
     }
@@ -230,8 +192,8 @@ ParallelRunResult run_master_worker(const sim::Runtime& runtime,
       // processing and notifies the master.
       const int my_crash_batch = faults.crash_step(comm.global_rank());
       const ProteinDatabase db = load_full_database();
-      const CandidateIndex index = build_index(db);
-      const FragmentIndex fragment = build_fragment(db, index);
+      const detail::ShardIndexes indexes =
+          detail::build_shard_indexes(comm, db, config);
       int batches_received = 0;
       while (true) {
         comm.send(0, kTagReady, {});
@@ -252,8 +214,7 @@ ParallelRunResult run_master_worker(const sim::Runtime& runtime,
         }
         ++batches_received;
         const auto [begin, count] = decode_batch(reply.payload);
-        process_batch(db, index, fragment.empty() ? nullptr : &fragment, begin,
-                      count);
+        process_batch(db, indexes, begin, count);
       }
     }
   });

@@ -19,14 +19,13 @@ namespace msp {
 struct MasterWorkerOptions {
   /// Queries per demand-driven batch (S2: "small, fixed size batches").
   std::size_t batch_size = 16;
-  /// Per-rank memory budget; the baseline hits this at ~O(N), reproducing
-  /// the paper's "1.27 million protein sequences per 1 GB" wall.
-  std::size_t memory_budget_bytes = 0;
 };
 
 /// Run the baseline on runtime.size() ranks (rank 0 is the master; with
 /// p == 1 the run degenerates to the serial uni-worker MSPolygraph, per the
-/// paper's speedup-baseline convention).
+/// paper's speedup-baseline convention). Under a per-rank memory budget
+/// (sim::Runtime::set_memory_budget) the baseline hits the wall at ~O(N),
+/// reproducing the paper's "1.27 million protein sequences per 1 GB".
 ParallelRunResult run_master_worker(const sim::Runtime& runtime,
                                     const std::string& fasta_image,
                                     const std::vector<Spectrum>& queries,

@@ -46,51 +46,36 @@ PipelineResult run_pipeline(const std::string& fasta_image,
 
   const sim::Runtime runtime(options.p, options.network, options.compute,
                              options.faults);
+  // Every driver's result is (or derives from) a ParallelRunResult; the
+  // pipeline keeps only the common part.
+  ParallelRunResult run;
   switch (options.algorithm) {
-    case Algorithm::kAlgorithmA: {
-      ParallelRunResult run = run_algorithm_a(runtime, fasta_image, queries,
-                                              options.config, options.a);
-      result.hits = std::move(run.hits);
-      result.report = std::move(run.report);
-      result.candidates = run.candidates;
+    case Algorithm::kAlgorithmA:
+      run = run_algorithm_a(runtime, fasta_image, queries, options.config,
+                            options.a);
       break;
-    }
-    case Algorithm::kAlgorithmB: {
-      AlgorithmBResult run = run_algorithm_b(runtime, fasta_image, queries,
-                                             options.config, options.b);
-      result.hits = std::move(run.hits);
-      result.report = std::move(run.report);
-      result.candidates = run.candidates;
+    case Algorithm::kAlgorithmB:
+      run = run_algorithm_b(runtime, fasta_image, queries, options.config,
+                            options.b);
       break;
-    }
-    case Algorithm::kHybrid: {
-      HybridResult run = run_algorithm_hybrid(runtime, fasta_image, queries,
-                                              options.config, options.hybrid);
-      result.hits = std::move(run.hits);
-      result.report = std::move(run.report);
-      result.candidates = run.candidates;
+    case Algorithm::kHybrid:
+      run = run_algorithm_hybrid(runtime, fasta_image, queries, options.config,
+                                 options.hybrid);
       break;
-    }
-    case Algorithm::kMasterWorker: {
-      ParallelRunResult run = run_master_worker(
-          runtime, fasta_image, queries, options.config, options.master_worker);
-      result.hits = std::move(run.hits);
-      result.report = std::move(run.report);
-      result.candidates = run.candidates;
+    case Algorithm::kMasterWorker:
+      run = run_master_worker(runtime, fasta_image, queries, options.config,
+                              options.master_worker);
       break;
-    }
-    case Algorithm::kQueryTransport: {
-      ParallelRunResult run = run_query_transport(runtime, fasta_image, queries,
-                                                  options.config,
-                                                  options.query_transport);
-      result.hits = std::move(run.hits);
-      result.report = std::move(run.report);
-      result.candidates = run.candidates;
+    case Algorithm::kQueryTransport:
+      run = run_query_transport(runtime, fasta_image, queries, options.config,
+                                options.query_transport);
       break;
-    }
     case Algorithm::kSerial:
       break;  // handled above
   }
+  result.hits = std::move(run.hits);
+  result.report = std::move(run.report);
+  result.candidates = run.candidates;
   result.run_seconds = result.report.total_time();
   return result;
 }

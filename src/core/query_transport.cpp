@@ -4,6 +4,7 @@
 
 #include "core/packdb.hpp"
 #include "core/partition.hpp"
+#include "core/rank_steps.hpp"
 #include "core/search_engine.hpp"
 #include "core/wire.hpp"
 #include "scoring/top_hits.hpp"
@@ -59,6 +60,10 @@ ParallelRunResult run_query_transport(const sim::Runtime& runtime,
                                       const std::vector<Spectrum>& queries,
                                       const SearchConfig& config,
                                       const QueryTransportOptions& options) {
+  if (runtime.faults().has_crashes())
+    throw FaultUnrecoverable(
+        "query transport: a rank's static shard has no replica to recover "
+        "it from");
   const int p = runtime.size();
   const SearchEngine engine(config);
 
@@ -67,37 +72,19 @@ ParallelRunResult run_query_transport(const sim::Runtime& runtime,
   sim::RunReport report = runtime.run([&](sim::Comm& comm) {
     const int rank = comm.rank();
     const auto& cost = comm.compute_model();
-    if (options.memory_budget_bytes != 0)
-      comm.set_memory_budget(options.memory_budget_bytes);
 
     // Static local database shard (never moves — that is the point).
     comm.trace_mark("QT load+index");
-    const ProteinDatabase local_db = load_database_shard(fasta_image, rank, p);
-    comm.clock().charge_io(static_cast<double>(local_db.total_residues()) *
-                           cost.seconds_per_residue_load);
+    const ProteinDatabase local_db = detail::load_rank_chunk(comm, fasta_image);
     std::size_t db_bytes = 0;
     for (const Protein& protein : local_db.proteins)
       db_bytes += protein.residues.size() + protein.id.size();
     comm.charge_alloc(db_bytes);
     // The static shard is indexed once and reused for all p query batches —
-    // query transport benefits most, since its shard never moves.
-    const CandidateIndex local_index =
-        CandidateIndex::build(local_db, engine.config());
-    comm.clock().charge_compute(static_cast<double>(local_index.size()) *
-                                cost.seconds_per_mz);
-    // In open mode the static shard also gets a fragment index, built once
-    // and reused for all p query batches (it never ships — queries move).
-    const bool use_fragment =
-        config.open_search() &&
-        config.candidate_source != CandidateSourceKind::kMassWindow;
-    FragmentIndex local_fragment;
-    if (use_fragment) {
-      local_fragment =
-          FragmentIndex::build(local_db, local_index, config.bin_width);
-      comm.clock().charge_compute(
-          static_cast<double>(local_fragment.posting_count()) *
-          cost.seconds_per_mz);
-    }
+    // query transport benefits most, since its shard never moves (in open
+    // mode its fragment index never ships either: queries move).
+    const detail::ShardIndexes local =
+        detail::build_shard_indexes(comm, local_db, engine.config());
 
     // Local query block, exposed for ring transport as packed bytes.
     const QueryRange block = query_block(queries.size(), rank, p);
@@ -129,10 +116,8 @@ ParallelRunResult run_query_transport(const sim::Runtime& runtime,
       comm.clock().charge_compute(static_cast<double>(batch.size()) *
                                   cost.seconds_per_query_prep);
       std::vector<TopK<Hit>> tops = engine.make_tops(batch.size());
-      const ShardSearchStats stats =
-          engine.search_shard(local_db, prepared, tops, nullptr, &local_index,
-                              use_fragment ? &local_fragment : nullptr);
-      charge_kernel(comm, stats);
+      detail::search_resident(comm, engine, local_db, local, nullptr, prepared,
+                              tops);
       partial[static_cast<std::size_t>(j)] = engine.finalize(tops);
       if (options.fence_per_iteration) window.fence();
     }
@@ -159,20 +144,7 @@ ParallelRunResult run_query_transport(const sim::Runtime& runtime,
                                 cost.seconds_per_hit_update *
                                 static_cast<double>(config.tau));
 
-    QueryHits final_hits = engine.finalize(merged);
-    if (config.open_search()) {
-      std::uint64_t misses = 0;
-      for (const std::vector<Hit>& hits : final_hits)
-        if (hits.empty()) ++misses;
-      comm.bump("open_index_miss_queries", misses);
-    }
-    std::size_t reported = 0;
-    for (std::size_t q = 0; q < final_hits.size(); ++q) {
-      reported += final_hits[q].size();
-      all_hits[block.begin + q] = std::move(final_hits[q]);
-    }
-    comm.clock().charge_io(static_cast<double>(reported) *
-                           cost.seconds_per_hit_output);
+    detail::publish_hits(comm, engine, merged, all_hits, block.begin);
   });
 
   ParallelRunResult result;

@@ -23,9 +23,10 @@ namespace msp {
 
 struct QueryTransportOptions {
   bool fence_per_iteration = true;
-  std::size_t memory_budget_bytes = 0;
 };
 
+/// Crash schedules are rejected up front (FaultUnrecoverable): a rank's
+/// static shard has no replica to recover from.
 ParallelRunResult run_query_transport(
     const sim::Runtime& runtime, const std::string& fasta_image,
     const std::vector<Spectrum>& queries, const SearchConfig& config,

@@ -1,0 +1,133 @@
+// Internal: the per-rank supersteps every parallel driver is built from —
+// load the rank's chunk (A1), index it, score the local queries against a
+// resident shard (A2), report the top-τ lists (A3) — plus the replicated
+// shard window the crash-tolerant rings (Algorithm A and the serving ring)
+// fetch through. Each step books its own clock and memory charges, so a
+// driver keeps only what makes it different: which bytes move where, and
+// when. Not part of the public API.
+#pragma once
+
+#include <cstddef>
+#include <optional>
+#include <span>
+#include <string>
+#include <utility>
+#include <vector>
+
+#include "core/candidate_index.hpp"
+#include "core/config.hpp"
+#include "core/fragment_index.hpp"
+#include "core/hit.hpp"
+#include "core/packdb.hpp"
+#include "core/search_engine.hpp"
+#include "mass/peptide.hpp"
+#include "scoring/top_hits.hpp"
+#include "simmpi/comm.hpp"
+#include "spectra/spectrum.hpp"
+
+namespace msp::detail {
+
+/// A1: load the (comm.rank(), comm.size()) chunk of `fasta_image` and
+/// charge its residues as load I/O.
+ProteinDatabase load_rank_chunk(sim::Comm& comm,
+                                const std::string& fasta_image);
+
+/// The one per-query memory rule (peak list + binned vector): charges the
+/// block's footprint and returns it, for the caller to release.
+std::size_t charge_query_block(sim::Comm& comm,
+                               std::span<const Spectrum> queries);
+
+/// A shard's search indexes: the candidate index always, the fragment-ion
+/// index only when open search uses one (candidate source not forced to
+/// the mass window).
+struct ShardIndexes {
+  CandidateIndex index;
+  FragmentIndex fragment;
+  bool has_fragment = false;
+};
+
+/// Build `db`'s indexes under `config`, charging one seconds_per_mz per
+/// candidate entry and per fragment posting.
+ShardIndexes build_shard_indexes(sim::Comm& comm, const ProteinDatabase& db,
+                                 const SearchConfig& config);
+
+/// A2: score `prepared` against the resident shard — the rank's own
+/// (`own_db` with its indexes) when `fetched` is null, else the fetched
+/// pack, whose missing index or fragment record (a legacy pack) falls back
+/// to null — and book the kernel work.
+void search_resident(sim::Comm& comm, const SearchEngine& engine,
+                     const ProteinDatabase& own_db, const ShardIndexes& own,
+                     const PackedShard* fetched,
+                     const PreparedQueries& prepared,
+                     std::vector<TopK<Hit>>& tops);
+
+/// A3: finalize `tops` into all_hits[first_slot + q], counting the open
+/// search's index-miss queries, charging the output I/O and bumping
+/// `hits_reported`.
+void publish_hits(sim::Comm& comm, const SearchEngine& engine,
+                  std::vector<TopK<Hit>>& tops, QueryHits& all_hits,
+                  std::size_t first_slot);
+
+/// The rank-shard RMA window plus, when the run schedules crashes, a copy
+/// of every shard on its ring successor. Crash steps index the ring's
+/// steps; a scheduled step at or past `horizon` never fires on this
+/// communicator (Algorithm A's single rotation passes p for it, the
+/// serving ring, whose steps are unbounded, INT_MAX).
+///
+/// Construction is collective: it charges D_local (the exposed bytes) and
+/// D_recv + D_comp (twice the largest shard), and with crashes scheduled
+/// pulls the ring predecessor's shard before any crash can fire and
+/// exposes it through a second window. A dead owner's shard is then
+/// fetched from its successor — the same bytes at the same offsets, so
+/// range fetches redirect unchanged. Throws FaultUnrecoverable when the
+/// schedule kills every rank.
+class ReplicatedWindow {
+ public:
+  /// A fetch in flight, on whichever window serves it.
+  struct Fetch {
+    sim::RmaRequest request;
+    sim::Window* window = nullptr;
+  };
+
+  ReplicatedWindow(sim::Comm& comm, std::span<const char> local_shard,
+                   int horizon);
+
+  /// Rank r's crash step under the horizon, -1 for none.
+  int crash_step(int r) const;
+  /// True when rank r has crashed at or before step `at_step`.
+  bool dead_at(int r, int at_step) const;
+  /// True when the run schedules crashes (the replica exists).
+  bool replicated() const { return replica_window_.has_value(); }
+
+  /// Fetch `owner`'s whole shard (or bytes [offset, offset + length) of
+  /// it) issued at step `at_step`, from the replica holder when the owner
+  /// is already dead at issue time. Throws FaultUnrecoverable when the
+  /// holder is dead too.
+  Fetch rget(int owner, int at_step, std::vector<char>& dest);
+  Fetch rget_range(int owner, int at_step, std::size_t offset,
+                   std::size_t length, std::vector<char>& dest);
+  void wait(Fetch& fetch) { fetch.window->wait(fetch.request); }
+
+  /// Collective fence of the shard window.
+  void fence() { window_.fence(); }
+  /// Collective fence of the replica window (no-op without one): called
+  /// once every survivor is done re-pulling, zombies included.
+  void fence_replica() {
+    if (replica_window_) replica_window_->fence();
+  }
+
+ private:
+  /// The no-survivor check and the D_local charge, ahead of exposure.
+  std::span<const char> expose(std::span<const char> local_shard) const;
+  /// Which window serves `owner`'s shard at `at_step`, and from which rank.
+  std::pair<sim::Window*, int> source(int owner, int at_step);
+
+  sim::Comm& comm_;
+  int horizon_;
+  int pulls_;
+  sim::Window window_;
+  std::vector<char> replica_;
+  std::optional<sim::Window> replica_window_;
+};
+
+}  // namespace msp::detail

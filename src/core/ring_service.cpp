@@ -1,19 +1,11 @@
 #include "core/ring_service.hpp"
 
 #include <algorithm>
+#include <climits>
 
 #include "util/error.hpp"
 
 namespace msp {
-namespace {
-
-/// Rough per-query memory footprint (peak list + binned vector) — the same
-/// accounting rule Algorithm A charges for its query blocks.
-std::size_t query_bytes(const Spectrum& spectrum) {
-  return spectrum.peaks().size() * sizeof(Peak) + 4096;
-}
-
-}  // namespace
 
 RingService::RingService(sim::Comm& comm, const std::string& fasta_image,
                          std::span<const Spectrum> queries,
@@ -28,24 +20,10 @@ RingService::RingService(sim::Comm& comm, const std::string& fasta_image,
       p_(comm.size()),
       rank_(comm.rank()) {
   const auto& cost = comm_.compute_model();
-  const sim::FaultModel& faults = comm_.faults();
-  my_crash_step_ = crash_step_of(rank_);
-
   const SearchConfig& config = engine_.config();
   MSP_CHECK_MSG(config.candidate_mode == CandidateMode::kPrefixSuffix,
                 "the banded service ring implements the paper's "
                 "prefix/suffix candidate rule");
-
-  const bool fault_tolerant = faults.has_crashes();
-  if (fault_tolerant) {
-    int survivors = 0;
-    for (int r = 0; r < p_; ++r)
-      if (crash_step_of(r) < 0) ++survivors;
-    if (survivors == 0)
-      throw FaultUnrecoverable(
-          "fault schedule kills every rank of the service ring — nobody "
-          "left to answer the query stream");
-  }
 
   // Band construction: load the i-th chunk (Algorithm A's A1), enumerate
   // its candidate records inside the stream's query-mass envelope, and
@@ -55,9 +33,7 @@ RingService::RingService(sim::Comm& comm, const std::string& fasta_image,
   // batch at admission; only their (globally known) precursor masses bound
   // the enumeration, identically on every rank.
   comm_.trace_mark("serve setup");
-  ProteinDatabase local_db = load_database_shard(fasta_image, rank_, p_);
-  comm_.clock().charge_io(static_cast<double>(local_db.total_residues()) *
-                          cost.seconds_per_residue_load);
+  ProteinDatabase local_db = detail::load_rank_chunk(comm_, fasta_image);
 
   double stream_lo = 0.0;
   double stream_hi = -1.0;  // empty stream → empty enumeration window
@@ -89,30 +65,17 @@ RingService::RingService(sim::Comm& comm, const std::string& fasta_image,
                                cost.seconds_per_mz);
 
   band_ = sort_candidate_records_by_mass(comm_, std::move(records));
-  comm_.charge_alloc(band_.size() * sizeof(CandidateRecord));  // D_local
+  // The band's record bytes are exposed, and with crashes scheduled
+  // replicated on the ring successor for the rest of the service's
+  // lifetime. Service ring steps are unbounded, so any scheduled step >= 0
+  // fires (contrast Algorithm A, whose single rotation only reaches step
+  // p − 1).
   window_.emplace(comm_,
                   std::span<const char>(
                       reinterpret_cast<const char*>(band_.data()),
-                      band_.size() * sizeof(CandidateRecord)));
-
-  std::size_t max_shard = 0;
-  for (int r = 0; r < p_; ++r)
-    max_shard = std::max(max_shard, window_->shard_size(r));
-  comm_.charge_alloc(2 * max_shard);  // D_recv + D_comp
-  pulls_ = comm_.network().concurrent_pulls(p_);
-
-  // Ring-successor band replica, pulled before any crash can fire (the
-  // PR-1 recovery scheme): a dead rank's band stays reachable at its
-  // successor for the rest of the service's lifetime, byte-for-byte at the
-  // same offsets — partial fetches redirect without translation.
-  if (fault_tolerant) {
-    const int predecessor = (rank_ + p_ - 1) % p_;
-    sim::RmaRequest pull = window_->rget(predecessor, replica_, pulls_);
-    window_->wait(pull);
-    comm_.charge_alloc(replica_.size());
-    replica_window_.emplace(
-        comm_, std::span<const char>(replica_.data(), replica_.size()));
-  }
+                      band_.size() * sizeof(CandidateRecord)),
+                  INT_MAX);
+  my_crash_step_ = window_->crash_step(rank_);
 
   // The map exchange is collective and runs before any crash can fire,
   // like the replica pull: routing state is frozen global input from the
@@ -139,58 +102,15 @@ RingService::RingService(sim::Comm& comm, const std::string& fasta_image,
   comm_.barrier();
 }
 
-int RingService::crash_step_of(int r) const {
-  // Service ring steps are unbounded, so any scheduled step >= 0 fires
-  // (contrast Algorithm A, whose single rotation only reaches step p − 1).
-  return comm_.faults().crash_step(comm_.global_rank_of(r));
-}
-
-bool RingService::dead_at(int r, int at_step) const {
-  const int step = crash_step_of(r);
-  return step >= 0 && step <= at_step;
-}
-
-RingService::ShardFetch RingService::fetch_shard(int owner, int at_step,
-                                                 std::vector<char>& dest) {
-  if (!dead_at(owner, at_step))
-    return ShardFetch{window_->rget(owner, dest, pulls_), &*window_};
-  const int holder = (owner + 1) % p_;
-  if (dead_at(holder, at_step))
-    throw FaultUnrecoverable("shard " + std::to_string(owner) +
-                             ": owner and replica holder " +
-                             std::to_string(holder) + " both crashed");
-  return ShardFetch{replica_window_->rget(holder, dest, pulls_),
-                    &*replica_window_};
-}
-
-RingService::ShardFetch RingService::fetch_shard_range(
-    int owner, int at_step, std::uint64_t first, std::uint64_t last,
-    std::vector<char>& dest) {
-  const std::size_t offset =
-      static_cast<std::size_t>(first) * sizeof(CandidateRecord);
-  const std::size_t length =
-      static_cast<std::size_t>(last - first) * sizeof(CandidateRecord);
-  if (!dead_at(owner, at_step))
-    return ShardFetch{window_->rget_range(owner, offset, length, dest, pulls_),
-                      &*window_};
-  const int holder = (owner + 1) % p_;
-  if (dead_at(holder, at_step))
-    throw FaultUnrecoverable("shard " + std::to_string(owner) +
-                             ": owner and replica holder " +
-                             std::to_string(holder) + " both crashed");
-  return ShardFetch{
-      replica_window_->rget_range(holder, offset, length, dest, pulls_),
-      &*replica_window_};
-}
-
 std::span<const CandidateRecord> RingService::resident_records(
     int shard, int at_step, const Flight& flight) {
   if (shard == rank_) return {band_.data(), band_.size()};
   const MassHistogram* histogram = shard_map_.histogram(shard);
   if (histogram == nullptr) {
     // Route-everything fallback (no histogram for this band): fetch whole.
-    ShardFetch fetch = fetch_shard(shard, at_step, fetch_buffer_);
-    fetch.window->wait(fetch.request);
+    detail::ReplicatedWindow::Fetch fetch =
+        window_->rget(shard, at_step, fetch_buffer_);
+    window_->wait(fetch);
     return decode_candidate_records(fetch_buffer_, scratch_records_,
                                     "ring band");
   }
@@ -200,9 +120,13 @@ std::span<const CandidateRecord> RingService::resident_records(
     scratch_records_.clear();
     return {scratch_records_.data(), scratch_records_.size()};
   }
-  ShardFetch fetch =
-      fetch_shard_range(shard, at_step, first, last, fetch_buffer_);
-  fetch.window->wait(fetch.request);
+  // The replica holds the same bytes at the same offsets, so a range
+  // fetch redirects to it unchanged.
+  detail::ReplicatedWindow::Fetch fetch = window_->rget_range(
+      shard, at_step, static_cast<std::size_t>(first) * sizeof(CandidateRecord),
+      static_cast<std::size_t>(last - first) * sizeof(CandidateRecord),
+      fetch_buffer_);
+  window_->wait(fetch);
   return decode_candidate_records(fetch_buffer_, scratch_records_,
                                   "ring band");
 }
@@ -218,7 +142,7 @@ void RingService::admit(const ServiceBatch& batch) {
   // rank dying later mid-flight is included and its block is orphaned when
   // the crash fires.
   for (int r = 0; r < p_; ++r)
-    if (!dead_at(r, step_)) flight.ranks.push_back(r);
+    if (!window_->dead_at(r, step_)) flight.ranks.push_back(r);
   MSP_CHECK_MSG(!flight.ranks.empty(), "service batch with no live ranks");
 
   // Mass routing: every rank computes the full (member, shard) routing
@@ -283,9 +207,7 @@ void RingService::admit(const ServiceBatch& batch) {
                       "service batch query id out of range");
         gathered.push_back(queries_[flight.ids[i]]);
       }
-      for (const Spectrum& q : gathered)
-        flight.alloc_bytes += query_bytes(q);
-      comm_.charge_alloc(flight.alloc_bytes);
+      flight.alloc_bytes = detail::charge_query_block(comm_, gathered);
       flight.prepared = engine_.prepare(gathered);
       comm_.clock().charge_compute(static_cast<double>(gathered.size()) *
                                    cost.seconds_per_query_prep);
@@ -372,8 +294,9 @@ ServiceStepOutcome RingService::step(bool prefetch_next) {
       // idle gap or a declined prefetch hint, fetch it blocking — fully
       // exposed, exactly the cost the masked path avoids.
       if (shard != rank_ && comp_shard_ != shard) {
-        ShardFetch fetch = fetch_shard(shard, s, comp_buffer_);
-        fetch.window->wait(fetch.request);
+        detail::ReplicatedWindow::Fetch fetch =
+            window_->rget(shard, s, comp_buffer_);
+        window_->wait(fetch);
         comp_shard_ = shard;
       }
       const std::span<const CandidateRecord> resident =
@@ -393,9 +316,9 @@ ServiceStepOutcome RingService::step(bool prefetch_next) {
       bool continues = prefetch_next;
       for (const Flight& flight : flights_)
         if (s < flight.first_step + p_ - 1) continues = true;
-      ShardFetch prefetch;
+      detail::ReplicatedWindow::Fetch prefetch;
       if (continues && next_shard != rank_)
-        prefetch = fetch_shard(next_shard, s, recv_buffer_);
+        prefetch = window_->rget(next_shard, s, recv_buffer_);
 
       for (Flight& flight : flights_) {
         if (flight.block.count() == 0) continue;
@@ -410,7 +333,7 @@ ServiceStepOutcome RingService::step(bool prefetch_next) {
       }
 
       if (prefetch.request.active) {
-        prefetch.window->wait(prefetch.request);
+        window_->wait(prefetch);
         std::swap(comp_buffer_, recv_buffer_);
         comp_shard_ = next_shard;
       }
@@ -428,7 +351,7 @@ ServiceStepOutcome RingService::step(bool prefetch_next) {
   // charge the survivors the (omniscient, deterministic) detection timeout.
   std::vector<int> died;
   for (int r = 0; r < p_; ++r)
-    if (crash_step_of(r) == s) died.push_back(r);
+    if (window_->crash_step(r) == s) died.push_back(r);
   if (!died.empty()) {
     for (Flight& flight : flights_) {
       for (const int d : died) {
@@ -528,7 +451,7 @@ std::vector<std::size_t> RingService::preempt(std::size_t batch_id) {
 void RingService::finish() {
   MSP_CHECK_MSG(flights_.empty(), "service finished with batches in flight");
   window_->fence();
-  if (replica_window_) replica_window_->fence();
+  window_->fence_replica();
 }
 
 }  // namespace msp

@@ -43,9 +43,10 @@
 // in-flight batch are lost and the orphaned query ids are returned from
 // step() so the serving layer re-admits them (they re-enter admission, get
 // re-batched, and are re-scored from scratch — same hits, later). Bands
-// stay reachable through the ring-successor replica window, exactly as in
-// Algorithm A — the replica holds the same bytes at the same offsets, so
-// partial fetches redirect unchanged.
+// stay reachable through the ring-successor replica of the
+// detail::ReplicatedWindow Algorithm A fetches through too — the replica
+// holds the same bytes at the same offsets, so partial fetches redirect
+// unchanged.
 #pragma once
 
 #include <cstddef>
@@ -58,6 +59,7 @@
 #include "core/candidate_record.hpp"
 #include "core/hit.hpp"
 #include "core/partition.hpp"
+#include "core/rank_steps.hpp"
 #include "core/search_engine.hpp"
 #include "core/shard_map.hpp"
 #include "scoring/incremental_topk.hpp"
@@ -194,21 +196,6 @@ class RingService {
     std::size_t alloc_bytes = 0;
   };
 
-  struct ShardFetch {
-    sim::RmaRequest request;
-    sim::Window* window = nullptr;
-  };
-
-  int crash_step_of(int r) const;
-  bool dead_at(int r, int at_step) const;
-  /// Whole-band fetch (unrouted path / replica pull), redirected to the
-  /// ring-successor replica when the owner is dead.
-  ShardFetch fetch_shard(int owner, int at_step, std::vector<char>& dest);
-  /// Partial fetch of records [first, last) of `owner`'s band (routed
-  /// path), same replica redirect — the replica holds identical bytes at
-  /// identical offsets.
-  ShardFetch fetch_shard_range(int owner, int at_step, std::uint64_t first,
-                               std::uint64_t last, std::vector<char>& dest);
   /// Blocking-fetch `shard`'s records matching `flight`'s query window into
   /// scratch_records_ and return the span to score (the whole resident band
   /// for the local shard / unrouted path).
@@ -228,15 +215,13 @@ class RingService {
   int my_crash_step_ = -1;
 
   std::vector<CandidateRecord> band_;  ///< this rank's mass band (sorted)
-  std::optional<sim::Window> window_;  ///< exposes band_'s raw bytes
-  std::vector<char> replica_;
-  std::optional<sim::Window> replica_window_;
+  /// Exposes band_'s raw bytes (plus the successor replica under crashes).
+  std::optional<detail::ReplicatedWindow> window_;
   std::vector<char> comp_buffer_;   ///< unrouted: resident remote band
   std::vector<char> recv_buffer_;   ///< unrouted: masked prefetch target
   std::vector<char> fetch_buffer_;  ///< routed: partial-fetch target
   std::vector<CandidateRecord> scratch_records_;  ///< fetched-bytes decode
   int comp_shard_ = -1;  ///< shard id resident in comp_buffer_ (-1: none)
-  int pulls_ = 1;
 
   int step_ = 0;
   std::vector<Flight> flights_;

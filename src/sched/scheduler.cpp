@@ -844,8 +844,6 @@ SchedResult run_sched(const sim::Runtime& runtime,
   QueryHits all_hits(queries.size());
   BodyOutput output;
   sim::RunReport report = runtime.run([&](sim::Comm& comm) {
-    if (options.memory_budget_bytes != 0)
-      comm.set_memory_budget(options.memory_budget_bytes);
     sched_body(comm, fasta_image, queries, submits, serve_arrivals, engine,
                options, all_hits, output);
   });

@@ -69,7 +69,6 @@ struct SchedOptions {
   double step_estimate_init_s = 0.02;
   bool mass_routing = true;
   double route_bucket_da = kServeRouteBucketDa;
-  std::size_t memory_budget_bytes = 0;
 };
 
 /// One job's lifecycle over the run, all times virtual (-1 = never).

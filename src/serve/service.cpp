@@ -30,7 +30,6 @@ ServiceResult run_service(const sim::Runtime& runtime,
   mix.jobs.push_back(std::move(job));
   mix.mass_routing = options.mass_routing;
   mix.route_bucket_da = options.route_bucket_da;
-  mix.memory_budget_bytes = options.memory_budget_bytes;
 
   sched::SchedResult run =
       sched::run_sched(runtime, fasta_image, queries, config, mix);

@@ -58,10 +58,6 @@ struct ServiceOptions {
   /// for routing. Coarser = smaller exchange payload, slightly wider
   /// partial fetches; never affects hits (see core/ring_service.hpp).
   double route_bucket_da = kServeRouteBucketDa;
-  /// Per-rank memory budget in bytes (0 disables). The admission cap is
-  /// the deterministic guard that keeps runs under it; exceeding the budget
-  /// anyway throws OutOfMemoryBudget, same as the batch drivers.
-  std::size_t memory_budget_bytes = 0;
 };
 
 /// Per-query service record, all times in virtual seconds (-1 = never

@@ -47,6 +47,9 @@ RunReport Runtime::run(const std::function<void(Comm&)>& body) const {
   if (checking_)
     shared.checker = std::make_unique<check::Checker>(p_, check_sink_);
 
+  for (detail::RankState& state : shared.rank_states)
+    state.memory_budget = memory_budget_;
+
   // Straggler compute slowdowns apply to the whole rank lifetime.
   if (!faults_.stragglers.empty()) {
     for (const auto& [rank, spec] : faults_.stragglers)

@@ -38,6 +38,12 @@ class Runtime {
   void enable_tracing(bool on = true) { tracing_ = on; }
   bool tracing_enabled() const { return tracing_; }
 
+  /// Per-rank memory budget in bytes for subsequent run() calls (the
+  /// paper's 1 GB/process cap, a property of the simulated cluster like
+  /// the network and fault models); 0 disables (the default). A rank whose
+  /// Comm::charge_alloc exceeds it throws OutOfMemoryBudget.
+  void set_memory_budget(std::size_t bytes) { memory_budget_ = bytes; }
+
   /// Enable the happens-before checker (simcheck, see check.hpp) for
   /// subsequent run() calls. The build default follows the MSPAR_CHECK
   /// CMake option (ON in Debug unless overridden); this call overrides it
@@ -67,6 +73,7 @@ class Runtime {
   ComputeModel compute_;
   FaultModel faults_;
   bool tracing_ = false;
+  std::size_t memory_budget_ = 0;
 #ifdef MSPAR_CHECK_DEFAULT
   bool checking_ = true;
 #else

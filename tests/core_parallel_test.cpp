@@ -155,12 +155,10 @@ TEST(AlgorithmA, SpaceScalesDownWithP) {
 
 TEST(AlgorithmA, MemoryBudgetEnforced) {
   const Fixture& f = fixture();
-  const sim::Runtime runtime(2);
-  AlgorithmAOptions options;
-  options.memory_budget_bytes = 100;  // absurdly small
-  EXPECT_THROW(
-      run_algorithm_a(runtime, f.image, f.queries, f.config, options),
-      OutOfMemoryBudget);
+  sim::Runtime runtime(2);
+  runtime.set_memory_budget(100);  // absurdly small
+  EXPECT_THROW(run_algorithm_a(runtime, f.image, f.queries, f.config),
+               OutOfMemoryBudget);
 }
 
 TEST(AlgorithmA, MoreRanksThanQueries) {
@@ -372,12 +370,10 @@ TEST(MasterWorker, ReplicatedDatabaseMemoryDoesNotShrinkWithP) {
 
 TEST(MasterWorker, BudgetBelowDatabaseSizeFails) {
   const Fixture& f = fixture();
-  const sim::Runtime runtime(3);
-  MasterWorkerOptions options;
-  options.memory_budget_bytes = f.db.total_residues() / 2;  // < O(N)
-  EXPECT_THROW(
-      run_master_worker(runtime, f.image, f.queries, f.config, options),
-      OutOfMemoryBudget);
+  sim::Runtime runtime(3);
+  runtime.set_memory_budget(f.db.total_residues() / 2);  // < O(N)
+  EXPECT_THROW(run_master_worker(runtime, f.image, f.queries, f.config),
+               OutOfMemoryBudget);
 }
 
 TEST(MasterWorker, BatchSizeDoesNotChangeResults) {
@@ -458,6 +454,20 @@ TEST(CandidateStore, RejectsUnsupportedConfigs) {
   too_long.max_candidate_length = 200;
   EXPECT_THROW(run_candidate_store(runtime, f.image, f.queries, too_long),
                InvalidArgument);
+  // The store scores the reported mass at ±tolerance_da with the full
+  // model; configs whose hits depend on more are rejected, not mis-served.
+  SearchConfig prefilter = f.config;
+  prefilter.prefilter = true;
+  EXPECT_THROW(run_candidate_store(runtime, f.image, f.queries, prefilter),
+               InvalidArgument);
+  SearchConfig charges = f.config;
+  charges.try_alternate_charges = true;
+  EXPECT_THROW(run_candidate_store(runtime, f.image, f.queries, charges),
+               InvalidArgument);
+  SearchConfig open = f.config;
+  open.open_window_da = 50.0;
+  EXPECT_THROW(run_candidate_store(runtime, f.image, f.queries, open),
+               InvalidArgument);
 }
 
 // ---------- query-transport ablation ----------
@@ -475,6 +485,44 @@ TEST_P(QueryTransportValidation, ReproducesSerialOutput) {
 
 INSTANTIATE_TEST_SUITE_P(RankSweep, QueryTransportValidation,
                          ::testing::Values(1, 2, 4, 8));
+
+// ---------- hits_reported ----------
+
+std::uint64_t total_hits(const QueryHits& hits) {
+  std::uint64_t total = 0;
+  for (const std::vector<Hit>& per_query : hits) total += per_query.size();
+  return total;
+}
+
+// Every driver reports each published hit exactly once in the
+// `hits_reported` counter — Algorithm A's crash recovery included.
+TEST(HitsReported, EqualsHitsReturnedOnEveryDriver) {
+  const Fixture& f = fixture();
+  const sim::Runtime runtime(4);
+  sim::FaultModel faults;
+  faults.crash(1, 2);
+  const sim::Runtime crashing(4, {}, {}, faults);
+  HybridOptions hybrid;
+  hybrid.groups = 2;
+  const std::vector<std::pair<std::string, ParallelRunResult>> runs = {
+      {"A", run_algorithm_a(runtime, f.image, f.queries, f.config)},
+      {"A crash", run_algorithm_a(crashing, f.image, f.queries, f.config)},
+      {"B", run_algorithm_b(runtime, f.image, f.queries, f.config)},
+      {"hybrid", run_algorithm_hybrid(runtime, f.image, f.queries, f.config,
+                                      hybrid)},
+      {"master-worker",
+       run_master_worker(runtime, f.image, f.queries, f.config)},
+      {"query transport",
+       run_query_transport(runtime, f.image, f.queries, f.config)},
+      {"store", run_candidate_store(runtime, f.image, f.queries, f.config)},
+  };
+  for (const auto& [label, run] : runs) {
+    EXPECT_GT(total_hits(run.hits), 0u) << label;
+    EXPECT_EQ(run.report.sum_counter("hits_reported"), total_hits(run.hits))
+        << label;
+  }
+  EXPECT_EQ(runs[1].second.report.crashed_ranks(), std::vector<int>{1});
+}
 
 // ---------- pipeline facade ----------
 

@@ -11,9 +11,12 @@
 #include <vector>
 
 #include "core/algorithm_a.hpp"
+#include "core/algorithm_b.hpp"
 #include "core/algorithm_hybrid.hpp"
+#include "core/candidate_store.hpp"
 #include "core/master_worker.hpp"
 #include "core/partition.hpp"
+#include "core/query_transport.hpp"
 #include "core/search_engine.hpp"
 #include "dbgen/protein_gen.hpp"
 #include "dbgen/query_gen.hpp"
@@ -463,6 +466,35 @@ TEST(FaultLayer, AllWorkersDeadIsUnrecoverable) {
   faults.crash(1, 0).crash(2, 3).crash(3, 1);
   const sim::Runtime runtime(4, {}, {}, faults);
   EXPECT_THROW(run_master_worker(runtime, f.image, f.queries, f.config),
+               FaultUnrecoverable);
+}
+
+// Drivers without a replica scheme reject a crash schedule up front rather
+// than finishing with the crash silently dropped.
+TEST(FaultLayer, AlgorithmBRejectsCrashSchedule) {
+  const Fixture& f = fixture();
+  sim::FaultModel faults;
+  faults.crash(1, 2);
+  const sim::Runtime runtime(4, {}, {}, faults);
+  EXPECT_THROW(run_algorithm_b(runtime, f.image, f.queries, f.config),
+               FaultUnrecoverable);
+}
+
+TEST(FaultLayer, QueryTransportRejectsCrashSchedule) {
+  const Fixture& f = fixture();
+  sim::FaultModel faults;
+  faults.crash(1, 2);
+  const sim::Runtime runtime(4, {}, {}, faults);
+  EXPECT_THROW(run_query_transport(runtime, f.image, f.queries, f.config),
+               FaultUnrecoverable);
+}
+
+TEST(FaultLayer, CandidateStoreRejectsCrashSchedule) {
+  const Fixture& f = fixture();
+  sim::FaultModel faults;
+  faults.crash(1, 2);
+  const sim::Runtime runtime(4, {}, {}, faults);
+  EXPECT_THROW(run_candidate_store(runtime, f.image, f.queries, f.config),
                FaultUnrecoverable);
 }
 
