@@ -40,8 +40,11 @@ void ring_search_body(sim::Comm& comm, const std::string& fasta_image,
   // The shard's candidate index (and, in open search, its fragment-ion
   // index) is built once here and ships with the shard bytes, so all p
   // ranks the rotation delivers it to merge-join one enumeration instead of
-  // re-walking the proteins.
-  const ShardIndexes local = build_shard_indexes(comm, local_db, config);
+  // re-walking the proteins. It is clipped to the envelope of the whole
+  // query set, since every block — and every orphan a survivor adopts —
+  // is searched against it.
+  const ShardIndexes local = build_shard_indexes(
+      comm, local_db, config, query_mass_envelope(engine, query_set.queries));
   // Mass routing (shared with the serving ring): the shard's bucketed mass
   // histogram rides in the pack trailer, and a collective exchange leaves
   // every rank holding the identical global shard mass map before the

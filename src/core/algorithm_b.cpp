@@ -80,10 +80,12 @@ AlgorithmBResult run_algorithm_b(const sim::Runtime& runtime,
     const int group = p - low_rank;
     comm.bump("shards_visited", static_cast<std::uint64_t>(group));
 
-    // Index the sorted shard once; the restricted ring ships it with the
-    // shard bytes (same candidate-centric transport as Algorithm A).
-    const detail::ShardIndexes local =
-        detail::build_shard_indexes(comm, sorted.shard, config);
+    // Index the sorted shard once, clipped to the whole query set's
+    // envelope; the restricted ring ships it with the shard bytes (same
+    // candidate-centric transport as Algorithm A).
+    const detail::ShardIndexes local = detail::build_shard_indexes(
+        comm, sorted.shard, config,
+        detail::query_mass_envelope(engine, queries));
     std::vector<char> local_pack =
         local.has_fragment
             ? pack_database(sorted.shard, local.index, local.fragment)

@@ -21,11 +21,14 @@ CandidateIndexParams CandidateIndexParams::from(const SearchConfig& config) {
 }
 
 CandidateIndex::CandidateIndex(CandidateIndexParams params,
-                               std::vector<IndexedCandidate> entries)
-    : params_(params), entries_(std::move(entries)) {}
+                               std::vector<IndexedCandidate> entries,
+                               MassEnvelope envelope)
+    : params_(params), entries_(std::move(entries)), envelope_(envelope) {}
 
 CandidateIndex CandidateIndex::build(const ProteinDatabase& shard,
-                                     const CandidateIndexParams& params) {
+                                     const SearchConfig& config,
+                                     const MassEnvelope& envelope) {
+  const CandidateIndexParams params = CandidateIndexParams::from(config);
   MSP_CHECK_MSG(params.min_length >= 2,
                 "candidates must have >= 2 residues (fragmentable)");
   std::vector<IndexedCandidate> entries;
@@ -40,14 +43,16 @@ CandidateIndex CandidateIndex::build(const ProteinDatabase& shard,
 
     if (params.mode == CandidateMode::kPrefixSuffix) {
       for (std::size_t k = params.min_length; k <= max_k; ++k) {
-        entries.push_back({index.prefix_mass(k), pi, 0,
-                           static_cast<std::uint32_t>(k),
+        const double mass = index.prefix_mass(k);
+        if (!envelope.admits(mass)) continue;
+        entries.push_back({mass, pi, 0, static_cast<std::uint32_t>(k),
                            FragmentEnd::kPrefix});
       }
       for (std::size_t k = params.min_length; k <= max_k; ++k) {
         if (k == len) break;  // the full sequence already counted as a prefix
-        entries.push_back({index.suffix_mass(k), pi,
-                           static_cast<std::uint32_t>(len - k),
+        const double mass = index.suffix_mass(k);
+        if (!envelope.admits(mass)) continue;
+        entries.push_back({mass, pi, static_cast<std::uint32_t>(len - k),
                            static_cast<std::uint32_t>(k),
                            FragmentEnd::kSuffix});
       }
@@ -60,6 +65,7 @@ CandidateIndex CandidateIndex::build(const ProteinDatabase& shard,
            digest_tryptic(protein.residues, digest)) {
         const double mass = index.prefix_mass(peptide.offset + peptide.length) -
                             index.prefix_mass(peptide.offset) + kWaterMass;
+        if (!envelope.admits(mass)) continue;
         FragmentEnd end = FragmentEnd::kInternal;
         if (peptide.offset == 0)
           end = FragmentEnd::kPrefix;
@@ -78,12 +84,12 @@ CandidateIndex CandidateIndex::build(const ProteinDatabase& shard,
               if (a.offset != b.offset) return a.offset < b.offset;
               return a.length < b.length;
             });
-  return CandidateIndex(params, std::move(entries));
+  return CandidateIndex(params, std::move(entries), envelope);
 }
 
 CandidateIndex CandidateIndex::build(const ProteinDatabase& shard,
                                      const SearchConfig& config) {
-  return build(shard, CandidateIndexParams::from(config));
+  return build(shard, config, MassEnvelope{});
 }
 
 }  // namespace msp

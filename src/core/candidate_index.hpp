@@ -14,9 +14,16 @@
 //
 // Masses are computed through the same FragmentMassIndex arithmetic the
 // reference kernel uses, so indexed and reference searches are bit-identical.
+//
+// An index is clipped to a MassEnvelope: the hypothesis-mass range and the
+// precursor windows of the queries it will serve. The paper's candidate rule
+// (§II-A) admits only masses within m(q) ± δ, so an entry no hypothesis of
+// the envelope can window is dropped at build time instead of being built,
+// shipped and trimmed by every kernel call.
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <vector>
 
 #include "core/config.hpp"
@@ -50,22 +57,65 @@ struct CandidateIndexParams {
                          const CandidateIndexParams& b) = default;
 };
 
+/// The queries an index is clipped for: their lowest and highest
+/// hypothesis mass and the precursor windows (a hypothesis m accepts
+/// candidate masses [m − below, m + above]). The default envelope is
+/// unbounded and admits every mass; lo > hi is the empty envelope (no
+/// queries) and admits none.
+struct MassEnvelope {
+  static constexpr double kInf = std::numeric_limits<double>::infinity();
+
+  double lo = -kInf;
+  double hi = kInf;
+  double below = kInf;
+  double above = kInf;
+
+  /// True when some hypothesis in [lo, hi] may window a candidate of mass
+  /// `mass` under either kernel's predicate forms: the merge-join's
+  /// (M − above ≤ m, M + below ≥ m) or the open walk's (M ≥ m − below,
+  /// M ≤ m + above). Each test is monotone in m, so checking it at the
+  /// envelope's ends can never drop a candidate a kernel would score.
+  bool admits(double mass) const {
+    return (mass - above <= hi || mass <= hi + above) &&
+           (mass + below >= lo || mass >= lo - below);
+  }
+
+  /// True when an index clipped for this envelope holds every candidate
+  /// that queries with hypotheses in [need.lo, need.hi] under need's
+  /// windows can match: the range contains need's, and no window of need
+  /// is wider. An empty `need` is covered by anything.
+  bool covers(const MassEnvelope& need) const {
+    if (need.lo > need.hi) return true;
+    return lo <= need.lo && hi >= need.hi && below >= need.below &&
+           above >= need.above;
+  }
+
+  friend bool operator==(const MassEnvelope& a,
+                         const MassEnvelope& b) = default;
+};
+
 /// Mass-sorted candidate entries of one shard.
 class CandidateIndex {
  public:
   CandidateIndex() = default;
   CandidateIndex(CandidateIndexParams params,
-                 std::vector<IndexedCandidate> entries);
+                 std::vector<IndexedCandidate> entries,
+                 MassEnvelope envelope);
 
-  /// Enumerate and sort every candidate of `shard` under `params`. Entry
-  /// order is (mass, protein, offset, length) ascending — a total order, so
-  /// the build is deterministic for a given shard.
+  /// Enumerate and sort every candidate of `shard` under `config`'s
+  /// enumeration parameters whose mass `envelope` admits. Entry order is
+  /// (mass, protein, offset, length) ascending — a total order, so the
+  /// build is deterministic for a given shard and envelope.
   static CandidateIndex build(const ProteinDatabase& shard,
-                              const CandidateIndexParams& params);
+                              const SearchConfig& config,
+                              const MassEnvelope& envelope);
+  /// The unclipped index: every candidate of `shard`.
   static CandidateIndex build(const ProteinDatabase& shard,
                               const SearchConfig& config);
 
   const CandidateIndexParams& params() const { return params_; }
+  /// The envelope the entries were clipped for (unbounded when unclipped).
+  const MassEnvelope& envelope() const { return envelope_; }
   const std::vector<IndexedCandidate>& entries() const { return entries_; }
   bool empty() const { return entries_.empty(); }
   std::size_t size() const { return entries_.size(); }
@@ -78,6 +128,7 @@ class CandidateIndex {
  private:
   CandidateIndexParams params_;
   std::vector<IndexedCandidate> entries_;  ///< mass ascending
+  MassEnvelope envelope_;
 };
 
 }  // namespace msp

@@ -64,15 +64,16 @@ ParallelRunResult run_master_worker(const sim::Runtime& runtime,
   }
 
   QueryHits all_hits(queries.size());
+  const MassEnvelope envelope = detail::query_mass_envelope(engine, queries);
 
   sim::RunReport report = runtime.run([&](sim::Comm& comm) {
     const int rank = comm.rank();
     const auto& cost = comm.compute_model();
 
     // Worker-side search of one query batch against the full database. The
-    // worker's indexes are built once at load time and reused by every
-    // batch it is dealt (the fragment index never ships: workers hold the
-    // whole database).
+    // worker's indexes are built once at load time, clipped to the whole
+    // query set's envelope, and reused by every batch it is dealt (the
+    // fragment index never ships: workers hold the whole database).
     auto process_batch = [&](const ProteinDatabase& db,
                              const detail::ShardIndexes& indexes,
                              std::size_t begin, std::size_t count) {
@@ -104,7 +105,7 @@ ParallelRunResult run_master_worker(const sim::Runtime& runtime,
       // Uni-worker degenerate case: serial MSPolygraph.
       const ProteinDatabase db = load_full_database();
       const detail::ShardIndexes indexes =
-          detail::build_shard_indexes(comm, db, config);
+          detail::build_shard_indexes(comm, db, config, envelope);
       for (std::size_t begin = 0; begin < queries.size();
            begin += options.batch_size) {
         const std::size_t count =
@@ -193,7 +194,7 @@ ParallelRunResult run_master_worker(const sim::Runtime& runtime,
       const int my_crash_batch = faults.crash_step(comm.global_rank());
       const ProteinDatabase db = load_full_database();
       const detail::ShardIndexes indexes =
-          detail::build_shard_indexes(comm, db, config);
+          detail::build_shard_indexes(comm, db, config, envelope);
       int batches_received = 0;
       while (true) {
         comm.send(0, kTagReady, {});

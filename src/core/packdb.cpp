@@ -15,6 +15,16 @@ namespace {
 // formats cannot collide in practice.
 // "MSPARIDX" in ASCII.
 constexpr std::uint64_t kIndexedShardMagic = 0x4D53504152494458ull;
+// Version 2: the index record carries the MassEnvelope it was clipped for
+// (hypothesis range, then windows) ahead of its entries, so a fetched shard
+// is self-describing. Version-1 images had no version field at all.
+constexpr std::uint32_t kIndexedShardVersion = 2;
+
+// The smallest protein record: two empty strings' u32 lengths.
+constexpr std::size_t kMinProteinBytes = 2 * sizeof(std::uint32_t);
+// One index entry on the wire: mass, protein, offset, length, end.
+constexpr std::size_t kIndexEntryBytes =
+    sizeof(double) + 3 * sizeof(std::uint32_t) + 1;
 
 void put_proteins(wire::Writer& writer, const ProteinDatabase& db) {
   writer.put_u64(db.proteins.size());
@@ -27,6 +37,8 @@ void put_proteins(wire::Writer& writer, const ProteinDatabase& db) {
 ProteinDatabase get_proteins(wire::Reader& reader) {
   ProteinDatabase db;
   const std::uint64_t count = reader.get_u64();
+  if (count > reader.remaining() / kMinProteinBytes)
+    throw IoError("packed database: protein count exceeds payload");
   db.proteins.reserve(count);
   for (std::uint64_t i = 0; i < count; ++i) {
     Protein protein;
@@ -45,9 +57,13 @@ void put_index(wire::Writer& writer, const CandidateIndex& index) {
   writer.put_u32(params.min_length);
   writer.put_u32(params.max_length);
   writer.put_u32(params.missed_cleavages);
+  const MassEnvelope& envelope = index.envelope();
+  writer.put_double(envelope.lo);
+  writer.put_double(envelope.hi);
+  writer.put_double(envelope.below);
+  writer.put_double(envelope.above);
   writer.put_u64(index.size());
-  writer.reserve(index.size() *
-                 (sizeof(double) + 3 * sizeof(std::uint32_t) + 1));
+  writer.reserve(index.size() * kIndexEntryBytes);
   for (const IndexedCandidate& entry : index.entries()) {
     writer.put_double(entry.mass);
     writer.put_u32(entry.protein);
@@ -57,13 +73,35 @@ void put_index(wire::Writer& writer, const CandidateIndex& index) {
   }
 }
 
-CandidateIndex get_index(wire::Reader& reader) {
+[[noreturn]] void reject_entry(std::uint64_t i, const std::string& problem) {
+  throw IoError("packed index: entry " + std::to_string(i) + ": " + problem);
+}
+
+// The decoder trusts nothing: the kernel dereferences every entry's protein
+// ordinal and residue range, and merge-joins the masses assuming they are
+// finite, ascending and inside the envelope the shard was clipped for.
+CandidateIndex get_index(wire::Reader& reader, const ProteinDatabase& db) {
   CandidateIndexParams params;
-  params.mode = static_cast<CandidateMode>(reader.get_u8());
+  const std::uint8_t mode = reader.get_u8();
+  if (mode > static_cast<std::uint8_t>(CandidateMode::kTryptic))
+    throw IoError("packed index: candidate mode " + std::to_string(mode) +
+                  " unknown");
+  params.mode = static_cast<CandidateMode>(mode);
   params.min_length = reader.get_u32();
   params.max_length = reader.get_u32();
   params.missed_cleavages = reader.get_u32();
+  MassEnvelope envelope;
+  envelope.lo = reader.get_double();
+  envelope.hi = reader.get_double();
+  envelope.below = reader.get_double();
+  envelope.above = reader.get_double();
+  if (std::isnan(envelope.lo) || std::isnan(envelope.hi))
+    throw IoError("packed index: envelope range is NaN");
+  if (!(envelope.below >= 0.0) || !(envelope.above >= 0.0))
+    throw IoError("packed index: envelope windows must be non-negative");
   const std::uint64_t count = reader.get_u64();
+  if (count > reader.remaining() / kIndexEntryBytes)
+    throw IoError("packed index: entry count exceeds payload");
   std::vector<IndexedCandidate> entries;
   entries.reserve(count);
   for (std::uint64_t i = 0; i < count; ++i) {
@@ -72,10 +110,41 @@ CandidateIndex get_index(wire::Reader& reader) {
     entry.protein = reader.get_u32();
     entry.offset = reader.get_u32();
     entry.length = reader.get_u32();
-    entry.end = static_cast<FragmentEnd>(reader.get_u8());
+    const std::uint8_t end = reader.get_u8();
+    if (!std::isfinite(entry.mass)) reject_entry(i, "mass is not finite");
+    if (!envelope.admits(entry.mass))
+      reject_entry(i, "mass " + std::to_string(entry.mass) +
+                          " outside the recorded envelope");
+    if (!entries.empty() && entry.mass < entries.back().mass)
+      reject_entry(i, "masses out of order");
+    if (entry.protein >= db.proteins.size())
+      reject_entry(i, "protein ordinal " + std::to_string(entry.protein) +
+                          " at or past the protein count " +
+                          std::to_string(db.proteins.size()));
+    if (std::uint64_t{entry.offset} + entry.length >
+        db.proteins[entry.protein].residues.size())
+      reject_entry(i, "offset + length past the protein's residues");
+    if (end > static_cast<std::uint8_t>(FragmentEnd::kInternal))
+      reject_entry(i, "end " + std::to_string(end) + " unknown");
+    entry.end = static_cast<FragmentEnd>(end);
     entries.push_back(entry);
   }
-  return CandidateIndex(params, std::move(entries));
+  return CandidateIndex(params, std::move(entries), envelope);
+}
+
+// Every indexed image: the versioned lead-in, the proteins, the index, then
+// the optional histogram and fragment-index trailers in that order.
+std::vector<char> pack_indexed(const ProteinDatabase& db,
+                               const CandidateIndex& index,
+                               const MassHistogram* histogram,
+                               const FragmentIndex* fragment) {
+  wire::Writer writer;
+  wire::put_record_header(writer, kIndexedShardMagic, kIndexedShardVersion);
+  put_proteins(writer, db);
+  put_index(writer, index);
+  if (histogram != nullptr) put_histogram(writer, *histogram);
+  if (fragment != nullptr) put_fragment_index(writer, *fragment);
+  return writer.take();
 }
 
 }  // namespace
@@ -88,55 +157,36 @@ std::vector<char> pack_database(const ProteinDatabase& db) {
 
 std::vector<char> pack_database(const ProteinDatabase& db,
                                 const CandidateIndex& index) {
-  wire::Writer writer;
-  wire::put_record_magic(writer, kIndexedShardMagic);
-  put_proteins(writer, db);
-  put_index(writer, index);
-  return writer.take();
+  return pack_indexed(db, index, nullptr, nullptr);
 }
 
 std::vector<char> pack_database(const ProteinDatabase& db,
                                 const CandidateIndex& index,
                                 const FragmentIndex& fragment) {
-  wire::Writer writer;
-  wire::put_record_magic(writer, kIndexedShardMagic);
-  put_proteins(writer, db);
-  put_index(writer, index);
-  put_fragment_index(writer, fragment);
-  return writer.take();
+  return pack_indexed(db, index, nullptr, &fragment);
 }
 
 std::vector<char> pack_database(const ProteinDatabase& db,
                                 const CandidateIndex& index,
                                 const MassHistogram& histogram) {
-  wire::Writer writer;
-  wire::put_record_magic(writer, kIndexedShardMagic);
-  put_proteins(writer, db);
-  put_index(writer, index);
-  put_histogram(writer, histogram);
-  return writer.take();
+  return pack_indexed(db, index, &histogram, nullptr);
 }
 
 std::vector<char> pack_database(const ProteinDatabase& db,
                                 const CandidateIndex& index,
                                 const MassHistogram& histogram,
                                 const FragmentIndex& fragment) {
-  wire::Writer writer;
-  wire::put_record_magic(writer, kIndexedShardMagic);
-  put_proteins(writer, db);
-  put_index(writer, index);
-  put_histogram(writer, histogram);
-  put_fragment_index(writer, fragment);
-  return writer.take();
+  return pack_indexed(db, index, &histogram, &fragment);
 }
 
 PackedShard unpack_shard(std::span<const char> bytes) {
   wire::Reader reader(bytes.data(), bytes.size());
   PackedShard shard;
   if (wire::peek_record(reader, kIndexedShardMagic)) {
-    reader.get_u64();  // consume the magic
+    wire::get_record_header(reader, kIndexedShardMagic, kIndexedShardVersion,
+                            "packed index");
     shard.db = get_proteins(reader);
-    shard.index = get_index(reader);
+    shard.index = get_index(reader, shard.db);
     shard.has_index = true;
     // Optional trailers, each magic-discriminated: the shard's mass
     // histogram, then its fragment-ion index. Absent in legacy images
@@ -149,6 +199,10 @@ PackedShard unpack_shard(std::span<const char> bytes) {
     if (peek_fragment_index(reader)) {
       shard.fragment = get_fragment_index(reader);
       shard.has_fragment = true;
+      if (shard.fragment.params().index_params != shard.index.params() ||
+          shard.fragment.candidate_count() != shard.index.size())
+        throw IoError("fragment index does not cover the shipped candidate "
+                      "index");
     }
   } else {
     shard.db = get_proteins(reader);

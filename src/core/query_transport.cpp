@@ -80,11 +80,12 @@ ParallelRunResult run_query_transport(const sim::Runtime& runtime,
     for (const Protein& protein : local_db.proteins)
       db_bytes += protein.residues.size() + protein.id.size();
     comm.charge_alloc(db_bytes);
-    // The static shard is indexed once and reused for all p query batches —
-    // query transport benefits most, since its shard never moves (in open
-    // mode its fragment index never ships either: queries move).
-    const detail::ShardIndexes local =
-        detail::build_shard_indexes(comm, local_db, engine.config());
+    // The static shard is indexed once, clipped to the whole query set's
+    // envelope, and reused for all p query batches — query transport
+    // benefits most, since its shard never moves (in open mode its fragment
+    // index never ships either: queries move).
+    const detail::ShardIndexes local = detail::build_shard_indexes(
+        comm, local_db, config, detail::query_mass_envelope(engine, queries));
 
     // Local query block, exposed for ring transport as packed bytes.
     const QueryRange block = query_block(queries.size(), rank, p);

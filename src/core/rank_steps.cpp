@@ -25,15 +25,33 @@ std::size_t charge_query_block(sim::Comm& comm,
   return bytes;
 }
 
+MassEnvelope query_mass_envelope(const SearchEngine& engine,
+                                 std::span<const Spectrum> queries) {
+  MassEnvelope envelope;
+  envelope.lo = MassEnvelope::kInf;
+  envelope.hi = -MassEnvelope::kInf;
+  envelope.below = engine.config().window_below();
+  envelope.above = engine.config().window_above();
+  for (const Spectrum& query : queries) {
+    for (const double mass : engine.hypothesis_masses(query)) {
+      envelope.lo = std::min(envelope.lo, mass);
+      envelope.hi = std::max(envelope.hi, mass);
+    }
+  }
+  return envelope;
+}
+
 ShardIndexes build_shard_indexes(sim::Comm& comm, const ProteinDatabase& db,
-                                 const SearchConfig& config) {
+                                 const SearchConfig& config,
+                                 const MassEnvelope& envelope) {
   // Each entry costs one fragment-mass computation, the same unit as
   // Algorithm B's m/z sort; each posting (= theoretical ion) one more.
   const double seconds_per_mz = comm.compute_model().seconds_per_mz;
   ShardIndexes indexes;
-  indexes.index = CandidateIndex::build(db, config);
+  indexes.index = CandidateIndex::build(db, config, envelope);
   comm.clock().charge_compute(static_cast<double>(indexes.index.size()) *
                               seconds_per_mz);
+  comm.bump("index_entries", indexes.index.size());
   indexes.has_fragment =
       config.open_search() &&
       config.candidate_source != CandidateSourceKind::kMassWindow;
@@ -43,6 +61,7 @@ ShardIndexes build_shard_indexes(sim::Comm& comm, const ProteinDatabase& db,
     comm.clock().charge_compute(
         static_cast<double>(indexes.fragment.posting_count()) *
         seconds_per_mz);
+    comm.bump("fragment_postings", indexes.fragment.posting_count());
   }
   return indexes;
 }

@@ -37,6 +37,13 @@ ProteinDatabase load_rank_chunk(sim::Comm& comm,
 std::size_t charge_query_block(sim::Comm& comm,
                                std::span<const Spectrum> queries);
 
+/// The one envelope rule: the lowest and highest of every hypothesis mass
+/// `queries` contribute (alternate charges included, exactly as prepare()
+/// enumerates them) and `engine`'s precursor windows. Empty (lo > hi) when
+/// there are no queries.
+MassEnvelope query_mass_envelope(const SearchEngine& engine,
+                                 std::span<const Spectrum> queries);
+
 /// A shard's search indexes: the candidate index always, the fragment-ion
 /// index only when open search uses one (candidate source not forced to
 /// the mass window).
@@ -46,10 +53,13 @@ struct ShardIndexes {
   bool has_fragment = false;
 };
 
-/// Build `db`'s indexes under `config`, charging one seconds_per_mz per
-/// candidate entry and per fragment posting.
+/// Build `db`'s indexes under `config`, clipped to `envelope` — the
+/// envelope of every query any rank will search this shard with — charging
+/// one seconds_per_mz per candidate entry and per fragment posting and
+/// bumping the `index_entries` and `fragment_postings` counters.
 ShardIndexes build_shard_indexes(sim::Comm& comm, const ProteinDatabase& db,
-                                 const SearchConfig& config);
+                                 const SearchConfig& config,
+                                 const MassEnvelope& envelope);
 
 /// A2: score `prepared` against the resident shard — the rank's own
 /// (`own_db` with its indexes) when `fetched` is null, else the fetched

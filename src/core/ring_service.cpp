@@ -35,28 +35,17 @@ RingService::RingService(sim::Comm& comm, const std::string& fasta_image,
   comm_.trace_mark("serve setup");
   ProteinDatabase local_db = detail::load_rank_chunk(comm_, fasta_image);
 
-  double stream_lo = 0.0;
-  double stream_hi = -1.0;  // empty stream → empty enumeration window
-  for (const Spectrum& query : queries_) {
-    for (const double mass : engine_.hypothesis_masses(query)) {
-      if (stream_hi < stream_lo) {
-        stream_lo = stream_hi = mass;
-      } else {
-        stream_lo = std::min(stream_lo, mass);
-        stream_hi = std::max(stream_hi, mass);
-      }
-    }
-  }
   // Envelope widening: in open/PTM mode a hypothesis accepts candidate
   // masses in [m − window_below, m + window_above], so the band enumeration
   // (and every routing decision below) must widen by the same amounts or
   // a modified match could be provably-"skipped" into nonexistence. Narrow
   // mode degenerates to ±tolerance_da exactly as before.
+  const MassEnvelope stream = detail::query_mass_envelope(engine_, queries_);
   std::vector<CandidateRecord> records =
-      stream_lo <= stream_hi
+      stream.lo <= stream.hi
           ? enumerate_candidate_records(local_db, config,
-                                        stream_lo - config.window_below(),
-                                        stream_hi + config.window_above())
+                                        stream.lo - stream.below,
+                                        stream.hi + stream.above)
           : std::vector<CandidateRecord>{};
   local_db = ProteinDatabase{};
   // Same per-candidate charge as CandidateIndex::build — the enumeration

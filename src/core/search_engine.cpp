@@ -482,14 +482,24 @@ ShardSearchStats SearchEngine::search_shard(
                 "tops arity must match query arity");
   if (queries.size() == 0 || shard.proteins.empty()) return {};
 
+  // The envelope these queries need: an index clipped for it holds every
+  // candidate any kernel path below can score.
+  const MassEnvelope needed{queries.min_mass(), queries.max_mass(),
+                            config_.window_below(), config_.window_above()};
   CandidateIndex local;
   if (index == nullptr) {
-    local = CandidateIndex::build(shard, config_);
+    local = CandidateIndex::build(shard, config_, needed);
     index = &local;
   } else {
     MSP_CHECK_MSG(index->params() == CandidateIndexParams::from(config_),
                   "candidate index was built under different enumeration "
                   "parameters than this engine's config");
+    MSP_CHECK_MSG(index->envelope().covers(needed),
+                  "candidate index was clipped for hypotheses ["
+                      << index->envelope().lo << ", " << index->envelope().hi
+                      << "], which do not cover these queries' ["
+                      << needed.lo << ", " << needed.hi
+                      << "] under this engine's windows");
   }
 
   if (config_.open_search())

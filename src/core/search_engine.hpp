@@ -145,7 +145,11 @@ class SearchEngine {
   /// (the shard's mass-sorted CandidateIndex, normally shipped with the
   /// shard bytes) against the sorted query hypotheses, building each
   /// matched candidate's fragment ions once. When `index` is null a
-  /// temporary one is built in-place, so every caller gets the same path.
+  /// temporary one, clipped to these queries' envelope, is built in-place,
+  /// so every caller gets the same path. A given index must cover the
+  /// queries' [min_mass, max_mass] under windows no wider than the ones it
+  /// was clipped for; a mismatched index throws InvalidArgument instead of
+  /// silently returning fewer hits.
   /// When config().kernel_threads > 1 the index range fans out over that
   /// many threads with per-thread top-τ lists merged under the total hit
   /// order — hits and counters are identical for every thread count.

@@ -196,6 +196,8 @@ MassHistogram get_histogram(wire::Reader& reader) {
   if (nonzero > histogram.bucket_count)
     throw IoError("shard mass histogram: more nonzero buckets than the "
                   "grid holds");
+  if (nonzero > reader.remaining() / (2 * sizeof(std::uint32_t)))
+    throw IoError("shard mass histogram: bucket count exceeds payload");
   histogram.buckets.reserve(nonzero);
   for (std::uint64_t i = 0; i < nonzero; ++i) {
     MassBucket bucket;

@@ -6,10 +6,6 @@
 
 namespace msp::wire {
 
-void put_record_magic(Writer& writer, std::uint64_t magic) {
-  writer.put_u64(magic);
-}
-
 void put_record_header(Writer& writer, std::uint64_t magic,
                        std::uint32_t version) {
   writer.put_u64(magic);
@@ -21,14 +17,10 @@ bool peek_record(Reader& reader, std::uint64_t magic) {
          reader.peek_u64() == magic;
 }
 
-void get_record_magic(Reader& reader, std::uint64_t magic, const char* what) {
-  if (reader.get_u64() != magic)
-    throw IoError(std::string(what) + ": bad magic");
-}
-
 void get_record_header(Reader& reader, std::uint64_t magic,
                        std::uint32_t version, const char* what) {
-  get_record_magic(reader, magic, what);
+  if (reader.get_u64() != magic)
+    throw IoError(std::string(what) + ": bad magic");
   const std::uint32_t seen = reader.get_u32();
   if (seen != version)
     throw IoError(std::string(what) + ": unsupported version " +

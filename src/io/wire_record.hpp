@@ -2,8 +2,8 @@
 //
 // Several shard-pack sections are self-describing records: an 8-byte ASCII
 // magic (so a reader can peek whether the record is present at all — the
-// magics cannot collide with a legacy image's leading count field) followed,
-// for versioned records, by a u32 format version. The histogram record
+// magics cannot collide with a legacy image's leading count field) followed
+// by a u32 format version. The histogram record
 // ("MSPARHST"), the indexed-shard lead-in ("MSPARIDX"), and the fragment-ion
 // index record ("MSPARFRG") all share this shape; the helpers below are the
 // one place the peek/validate/reject logic lives, so every record family
@@ -21,9 +21,6 @@
 
 namespace msp::wire {
 
-/// Append an unversioned record lead-in (just the magic).
-void put_record_magic(Writer& writer, std::uint64_t magic);
-
 /// Append a versioned record header (magic + u32 version).
 void put_record_header(Writer& writer, std::uint64_t magic,
                        std::uint32_t version);
@@ -31,10 +28,6 @@ void put_record_header(Writer& writer, std::uint64_t magic,
 /// True when the reader is positioned at `magic` (nothing is consumed).
 /// False on short payloads too, so callers can probe optional trailers.
 bool peek_record(Reader& reader, std::uint64_t magic);
-
-/// Consume and validate an unversioned record lead-in. Throws IoError
-/// ("<what>: bad magic") when the next 8 bytes are not `magic`.
-void get_record_magic(Reader& reader, std::uint64_t magic, const char* what);
 
 /// Consume and validate a versioned record header: the magic must match and
 /// the version must equal `version` exactly (records are versioned so a

@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <cstring>
 #include <functional>
 #include <limits>
 #include <map>
@@ -824,6 +825,94 @@ TEST(PackSpectra, BoundaryValuesSurviveTheLoadChecks) {
   ASSERT_EQ(back.size(), 1u);
   EXPECT_EQ(back[0].charge(), 1);
   EXPECT_DOUBLE_EQ(back[0].precursor_mz(), 1e-6);
+}
+
+// The indexed-shard decoder trusts nothing the kernel dereferences or
+// merge-joins on: each hostile field of the index record is rejected with
+// an IoError that names it. Offsets follow the version-2 layout: magic and
+// version, the plain protein image, then mode, three u32 lengths, the four
+// envelope doubles, the entry count and 21-byte entries.
+TEST(PackDb, IndexDecoderRejectsHostileFields) {
+  const ProteinDatabase db = small_db();
+  const SearchConfig config = test_config();
+  const CandidateIndex full = CandidateIndex::build(db, config);
+  ASSERT_GT(full.size(), 100u);
+  const double middle = full.entries()[full.size() / 2].mass;
+  const MassEnvelope envelope{middle - 100.0, middle + 100.0, 3.0, 3.0};
+  const CandidateIndex index = CandidateIndex::build(db, config, envelope);
+  ASSERT_GT(index.size(), 3u);
+  ASSERT_LT(index.entries().front().mass, index.entries().back().mass);
+  const std::vector<char> image = pack_database(db, index);
+  ASSERT_NO_THROW(unpack_shard(image));
+
+  const std::size_t index_at = 12 + pack_database(db).size();
+  const std::size_t envelope_at = index_at + 13;
+  const std::size_t count_at = envelope_at + 32;
+  const auto entry_at = [&](std::size_t i) { return count_at + 8 + 21 * i; };
+  constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+
+  struct Corruption {
+    const char* label;
+    std::size_t offset;
+    std::vector<char> bytes;
+    const char* names;  ///< substring the error message must contain
+  };
+  const auto as_bytes = [](auto value) {
+    std::vector<char> bytes(sizeof(value));
+    std::memcpy(bytes.data(), &value, sizeof(value));
+    return bytes;
+  };
+  const Corruption cases[] = {
+      {"protein count", 12,
+       as_bytes(std::numeric_limits<std::uint64_t>::max()), "protein count"},
+      {"candidate mode", index_at, as_bytes(std::uint8_t{9}),
+       "candidate mode"},
+      {"NaN envelope", envelope_at, as_bytes(kNan), "envelope range"},
+      {"negative window", envelope_at + 16, as_bytes(-1.0), "windows"},
+      {"entry count", count_at,
+       as_bytes(std::numeric_limits<std::uint64_t>::max()), "entry count"},
+      {"NaN mass", entry_at(0), as_bytes(kNan), "mass is not finite"},
+      {"infinite mass", entry_at(0), as_bytes(kInf), "mass is not finite"},
+      {"mass outside envelope", entry_at(0),
+       as_bytes(envelope.hi + envelope.above + 1.0), "recorded envelope"},
+      {"masses out of order", entry_at(0),
+       as_bytes(index.entries().back().mass), "out of order"},
+      {"protein ordinal", entry_at(0) + 8,
+       as_bytes(static_cast<std::uint32_t>(db.proteins.size())),
+       "protein ordinal"},
+      {"offset", entry_at(0) + 12, as_bytes(std::uint32_t{1u << 20}),
+       "offset + length"},
+      {"length", entry_at(0) + 16,
+       as_bytes(std::numeric_limits<std::uint32_t>::max()),
+       "offset + length"},
+      {"end", entry_at(0) + 20, as_bytes(std::uint8_t{7}), "end 7"},
+  };
+  for (const Corruption& corruption : cases) {
+    std::vector<char> bad = image;
+    ASSERT_LE(corruption.offset + corruption.bytes.size(), bad.size());
+    std::copy(corruption.bytes.begin(), corruption.bytes.end(),
+              bad.begin() + static_cast<long>(corruption.offset));
+    try {
+      (void)unpack_shard(bad);
+      ADD_FAILURE() << corruption.label << ": accepted";
+    } catch (const IoError& error) {
+      EXPECT_NE(std::string(error.what()).find(corruption.names),
+                std::string::npos)
+          << corruption.label << ": " << error.what();
+    }
+  }
+
+  // A plain image bounds its protein count the same way.
+  std::vector<char> plain = pack_database(db);
+  const std::vector<char> huge =
+      as_bytes(std::numeric_limits<std::uint64_t>::max());
+  std::copy(huge.begin(), huge.end(), plain.begin());
+  EXPECT_THROW(unpack_database(plain), IoError);
+
+  // A fragment-index trailer must cover the index it ships behind.
+  const FragmentIndex other = FragmentIndex::build(db, full, config.bin_width);
+  EXPECT_THROW(unpack_shard(pack_database(db, index, other)), IoError);
 }
 
 TEST(Partition, QueryBlocksCoverExactly) {

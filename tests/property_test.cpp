@@ -249,24 +249,36 @@ TEST(Fuzz, PackedDatabaseTruncationsAlwaysThrowOrParse) {
   }
 }
 
+// Every byte of a packed shard is untrusted: a bit flip anywhere — the
+// proteins, the candidate index and its envelope, the histogram or the
+// fragment-index trailer — either parses or fails with an msp::Error from
+// the decoders' own checks, never a length_error or bad_alloc from a size
+// field they forgot to bound.
 TEST(Fuzz, PackedDatabaseBitFlipsNeverCrash) {
   ProteinGenOptions options;
   options.sequence_count = 6;
   const ProteinDatabase db = generate_proteins(options);
-  const std::vector<char> bytes = pack_database(db);
+  SearchConfig config;
+  config.min_candidate_length = 4;
+  config.max_candidate_length = 12;
+  const CandidateIndex index = CandidateIndex::build(
+      db, config, MassEnvelope{600.0, 1200.0, 3.0, 3.0});
+  const std::vector<std::vector<char>> images = {
+      pack_database(db),
+      pack_database(db, index, MassHistogram::build(index),
+                    FragmentIndex::build(db, index, config.bin_width))};
   Xoshiro256 rng(104);
-  for (int trial = 0; trial < 200; ++trial) {
-    std::vector<char> corrupted = bytes;
-    const std::size_t position = rng.bounded(corrupted.size());
-    corrupted[position] ^= static_cast<char>(1u << rng.bounded(8));
-    try {
-      (void)unpack_database(corrupted);
-    } catch (const Error&) {
-      // IoError (truncation) or other msp::Error (bad residues) both fine
-    } catch (const std::length_error&) {
-      // a corrupted length prefix may exceed vector limits — also fine
-    } catch (const std::bad_alloc&) {
-      // or request an absurd-but-valid allocation
+  for (const std::vector<char>& bytes : images) {
+    for (int trial = 0; trial < 400; ++trial) {
+      std::vector<char> corrupted = bytes;
+      const std::size_t position = rng.bounded(corrupted.size());
+      corrupted[position] ^= static_cast<char>(1u << rng.bounded(8));
+      try {
+        (void)unpack_shard(corrupted);
+      } catch (const Error&) {
+        // IoError from a decoder check, or InvalidArgument from a record's
+        // own invariant check
+      }
     }
   }
 }
