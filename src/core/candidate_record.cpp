@@ -79,14 +79,13 @@ std::vector<CandidateRecord> enumerate_candidate_records(
 }
 
 std::span<const CandidateRecord> decode_candidate_records(
-    std::span<const char> bytes, std::vector<CandidateRecord>& out,
-    const char* what) {
+    std::span<const char> bytes, const char* what) {
   const auto check = [what](const CandidateRecord& record, std::size_t i) {
     if (const char* problem = record_problem(record))
       throw IoError(std::string(what) + ": record " + std::to_string(i) +
                     ": " + problem);
   };
-  return wire::checked_array_copy(bytes, out, what, check);
+  return wire::checked_array_view<CandidateRecord>(bytes, what, check);
 }
 
 bool candidate_record_less(const CandidateRecord& a,
@@ -139,9 +138,9 @@ std::vector<CandidateRecord> sort_candidate_records_by_mass(
   const auto received = comm.alltoallv(send);
 
   std::vector<CandidateRecord> sorted;
-  std::vector<CandidateRecord> decoded;
   for (const auto& payload : received) {
-    decode_candidate_records(payload, decoded, "exchanged candidate payload");
+    const std::span<const CandidateRecord> decoded =
+        decode_candidate_records(payload, "exchanged candidate payload");
     sorted.insert(sorted.end(), decoded.begin(), decoded.end());
   }
   std::sort(sorted.begin(), sorted.end(), candidate_record_less);

@@ -46,17 +46,17 @@ std::vector<CandidateRecord> enumerate_candidate_records(
     const ProteinDatabase& db, const SearchConfig& config, double mass_floor,
     double mass_ceil);
 
-/// Decode fetched or exchanged record bytes into `out` (returned as a view)
-/// — the one decode path for candidate records off the simulated wire. The
-/// payload must be a whole number of records, and every record must be
-/// well-formed: a finite mass, a length in [1, sizeof(peptide)), a NUL as
-/// protein_id's last byte (its padding) and an end no larger than
-/// FragmentEnd::kInternal. Anything else throws IoError naming `what`, the
-/// record and the field, so a corrupted band can never make the kernel read
-/// past a record.
+/// View fetched or exchanged record bytes as records, in place — the one
+/// decode path for candidate records off the simulated wire. The payload
+/// must be a whole number of records at an 8-byte-aligned address, and
+/// every record must be well-formed: a finite mass, a length in
+/// [1, sizeof(peptide)), a NUL as protein_id's last byte (its padding) and
+/// an end no larger than FragmentEnd::kInternal. Anything else throws
+/// IoError naming `what`, the record and the field, so a corrupted band can
+/// never make the kernel read past a record. The span borrows `bytes`
+/// (wire::checked_array_view).
 std::span<const CandidateRecord> decode_candidate_records(
-    std::span<const char> bytes, std::vector<CandidateRecord>& out,
-    const char* what);
+    std::span<const char> bytes, const char* what);
 
 /// The records' total order: mass, then protein id, then offset, then
 /// length — a pure function of record contents, so every rank sorting the

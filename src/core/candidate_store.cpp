@@ -150,7 +150,6 @@ CandidateStoreResult run_candidate_store(const sim::Runtime& runtime,
     const double eval_cost = cost.seconds_per_candidate *
                              (1.0 - cost.candidate_generation_fraction);
     std::vector<char> fetched;
-    std::vector<CandidateRecord> decoded;
     std::uint64_t evaluated = 0;
     std::uint64_t offered = 0;
     std::uint64_t fetches = 0;
@@ -171,7 +170,7 @@ CandidateStoreResult run_candidate_store(const sim::Runtime& runtime,
         window.wait(fetch);
         ++fetches;
         for (const CandidateRecord& record :
-             decode_candidate_records(fetched, decoded, "store range")) {
+             decode_candidate_records(fetched, "store range")) {
           if (record.mass < lo) continue;
           if (record.mass > hi) break;  // records sorted by mass
           const std::string_view peptide(record.peptide, record.length);

@@ -100,15 +100,11 @@ std::span<const CandidateRecord> RingService::resident_records(
     detail::ReplicatedWindow::Fetch fetch =
         window_->rget(shard, at_step, fetch_buffer_);
     window_->wait(fetch);
-    return decode_candidate_records(fetch_buffer_, scratch_records_,
-                                    "ring band");
+    return decode_candidate_records(fetch_buffer_, "ring band");
   }
   const auto [first, last] =
       histogram->record_range(flight.fetch_lo, flight.fetch_hi);
-  if (first >= last) {
-    scratch_records_.clear();
-    return {scratch_records_.data(), scratch_records_.size()};
-  }
+  if (first >= last) return {};
   // The replica holds the same bytes at the same offsets, so a range
   // fetch redirects to it unchanged.
   detail::ReplicatedWindow::Fetch fetch = window_->rget_range(
@@ -116,8 +112,7 @@ std::span<const CandidateRecord> RingService::resident_records(
       static_cast<std::size_t>(last - first) * sizeof(CandidateRecord),
       fetch_buffer_);
   window_->wait(fetch);
-  return decode_candidate_records(fetch_buffer_, scratch_records_,
-                                  "ring band");
+  return decode_candidate_records(fetch_buffer_, "ring band");
 }
 
 void RingService::admit(const ServiceBatch& batch) {
@@ -291,8 +286,7 @@ ServiceStepOutcome RingService::step(bool prefetch_next) {
       const std::span<const CandidateRecord> resident =
           shard == rank_
               ? std::span<const CandidateRecord>(band_.data(), band_.size())
-              : decode_candidate_records(comp_buffer_, scratch_records_,
-                                         "ring band");
+              : decode_candidate_records(comp_buffer_, "ring band");
 
       // Masked prefetch of the next step's band under this step's scoring
       // (Algorithm A's A2 pattern, amortized over every in-flight batch).

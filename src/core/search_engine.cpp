@@ -286,8 +286,10 @@ ShardSearchStats fan_out(const SearchEngine& engine, std::size_t threads,
 /// bounds use the reference kernel's predicates (>= M − above,
 /// <= M + below). A matched candidate's ions are built once, on its first
 /// matching hypothesis, and shared by every hypothesis (and screen) it
-/// reaches. `view` maps a span element to its CandidateView; the trimmed
-/// range fans out over `threads`.
+/// reaches. A candidate with an empty window gallops to the next one that
+/// can reach a hypothesis, so a sparse join reads O(log gap) masses per
+/// gap. `view` maps a span element to its CandidateView; the trimmed range
+/// fans out over `threads`.
 template <typename Candidate, typename View>
 ShardSearchStats merge_join(const SearchEngine& engine,
                             std::span<const Candidate> candidates,
@@ -306,14 +308,41 @@ ShardSearchStats merge_join(const SearchEngine& engine,
   const auto by_mass = [](const Candidate& candidate, double mass) {
     return candidate.mass < mass;
   };
+  const auto within_ceil = [query_mass_ceil](const Candidate& candidate) {
+    return candidate.mass <= query_mass_ceil;
+  };
+  const auto begin = candidates.begin();
   const std::size_t first = static_cast<std::size_t>(
-      std::lower_bound(candidates.begin(), candidates.end(), query_mass_floor,
-                       by_mass) -
-      candidates.begin());
-  std::size_t last = first;
-  while (last < candidates.size() && candidates[last].mass <= query_mass_ceil)
-    ++last;
+      std::lower_bound(begin, candidates.end(), query_mass_floor, by_mass) -
+      begin);
+  const std::size_t last = static_cast<std::size_t>(
+      std::partition_point(begin + static_cast<std::ptrdiff_t>(first),
+                           candidates.end(), within_ceil) -
+      begin);
   if (first >= last) return {};
+
+  // The first candidate in (from, end) that can match hypothesis mass m,
+  // or `end`: candidates[from] cannot. It tests the kernel's own predicate
+  // m <= M + below, which is monotone in M, by exponential probing and then
+  // a binary search inside the last probe step, so it costs O(log gap) and
+  // a dense join pays one test per candidate.
+  const auto next_reaching = [&](std::size_t from, std::size_t end, double m) {
+    const auto misses = [m, below](const Candidate& candidate) {
+      return !(m <= candidate.mass + below);
+    };
+    std::size_t probe = from + 1;
+    for (std::size_t step = 1; probe < end && misses(candidates[probe]);
+         step *= 2) {
+      from = probe;
+      probe = from + step;
+    }
+    probe = std::min(probe, end);
+    return static_cast<std::size_t>(
+        std::partition_point(begin + static_cast<std::ptrdiff_t>(from + 1),
+                             begin + static_cast<std::ptrdiff_t>(probe),
+                             misses) -
+        begin);
+  };
 
   const auto join = [&](std::size_t block_first, std::size_t block_last,
                         std::span<TopK<Hit>> block_tops,
@@ -332,7 +361,15 @@ ShardSearchStats merge_join(const SearchEngine& engine,
       while (lo < sorted.size() && sorted[lo] < mass - above) ++lo;
       if (hi < lo) hi = lo;
       while (hi < sorted.size() && sorted[hi] <= mass + below) ++hi;
-      if (lo == hi) continue;
+      if (lo == hi) {
+        // An empty window: every hypothesis before hi lies below M − above
+        // and sorted[hi] above M + below, so each candidate until the first
+        // one reaching sorted[hi] leaves lo and hi where they are and has
+        // an empty window too. Jump there, or stop past the last hypothesis.
+        if (hi == sorted.size()) break;
+        e = next_reaching(e, block_last, sorted[hi]) - 1;
+        continue;
+      }
 
       const CandidateView candidate = view(candidates[e]);
       bool built = false;

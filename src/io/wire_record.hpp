@@ -10,12 +10,12 @@
 // fails corruption the same way (IoError with a record-specific message).
 #pragma once
 
-#include <algorithm>
+#include <cstddef>
 #include <cstdint>
-#include <cstring>
+#include <new>
 #include <span>
+#include <string>
 #include <type_traits>
-#include <vector>
 
 #include "core/wire.hpp"
 
@@ -36,37 +36,48 @@ bool peek_record(Reader& reader, std::uint64_t magic);
 void get_record_header(Reader& reader, std::uint64_t magic,
                        std::uint32_t version, const char* what);
 
-/// Decode a fetched byte payload into typed records: the payload must be a
-/// whole number of `T`s (IoError otherwise — a short RMA fetch or corrupted
-/// band would misparse every following record), the bytes land in `out`,
-/// and `check(record, index)`, which throws on a malformed record, runs
-/// over every record. Copy and check go 16 KB at a time, so each record is
-/// checked while it is still in L1: bands are decoded on every ring step,
-/// and a second pass over them would cost as much memory traffic as the
-/// copy. This is the single sanctioned bytes→typed decode path; the
+/// View a fetched byte payload as typed records, in place: the payload must
+/// be a whole number of `T`s (a short RMA fetch or a corrupted band would
+/// misparse every following record) and start at an address aligned for
+/// `T` (IoError on either), and `check(record, index)`, which throws on a
+/// malformed record, runs over every record before the span is returned.
+/// An empty payload is an empty span. Nothing is copied: bands are decoded
+/// on every ring step, and a second copy of each fetched byte would cost as
+/// much memory traffic as the fetch itself.
+///
+/// Lifetime: `T` is an implicit-lifetime type (trivially copyable, trivial
+/// destructor). Every payload reaching this helper lives in allocator
+/// storage and was filled by a byte copy of a `T` array (the simulated
+/// rget / alltoallv copy, which lowers to memmove); allocation and memmove
+/// both implicitly create objects of such types (C++20 [intro.object]/10–13,
+/// [cstring.syn]), so the bytes hold an array of `T`s with exactly the
+/// copied values, and std::launder yields a pointer to it. C++23 spells
+/// this std::start_lifetime_as_array; C++20 has no such call. The span
+/// borrows `bytes`: it is valid only while the payload buffer is neither
+/// resized nor overwritten.
+///
+/// This is the single sanctioned bytes→typed decode path; the
 /// mspar-unchecked-wire-read tidy check flags raw memcpy/reinterpret_cast
 /// decodes that bypass it.
 template <typename T, typename Check>
-std::span<const T> checked_array_copy(std::span<const char> bytes,
-                                      std::vector<T>& out, const char* what,
-                                      const Check& check) {
-  static_assert(std::is_trivially_copyable_v<T>,
-                "wire records must be trivially copyable");
+std::span<const T> checked_array_view(std::span<const char> bytes,
+                                      const char* what, const Check& check) {
+  static_assert(std::is_trivially_copyable_v<T> &&
+                    std::is_trivially_destructible_v<T>,
+                "wire records must be implicit-lifetime types");
+  if (bytes.empty()) return {};
   if (bytes.size() % sizeof(T) != 0)
     throw IoError(std::string(what) + ": payload of " +
                   std::to_string(bytes.size()) +
                   " bytes is not a whole number of " +
                   std::to_string(sizeof(T)) + "-byte records");
+  if (reinterpret_cast<std::uintptr_t>(bytes.data()) % alignof(T) != 0)
+    throw IoError(std::string(what) + ": payload is not aligned to " +
+                  std::to_string(alignof(T)) + " bytes");
+  const T* records = std::launder(reinterpret_cast<const T*>(bytes.data()));
   const std::size_t count = bytes.size() / sizeof(T);
-  out.resize(count);
-  constexpr std::size_t kBlock = std::max<std::size_t>(1, 16384 / sizeof(T));
-  for (std::size_t first = 0; first < count; first += kBlock) {
-    const std::size_t last = std::min(count, first + kBlock);
-    std::memcpy(out.data() + first, bytes.data() + first * sizeof(T),
-                (last - first) * sizeof(T));
-    for (std::size_t i = first; i < last; ++i) check(out[i], i);
-  }
-  return {out.data(), out.size()};
+  for (std::size_t i = 0; i < count; ++i) check(records[i], i);
+  return {records, count};
 }
 
 }  // namespace msp::wire

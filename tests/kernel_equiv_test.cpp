@@ -12,9 +12,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <limits>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/algorithm_a.hpp"
@@ -25,6 +27,7 @@
 #include "dbgen/protein_gen.hpp"
 #include "dbgen/query_gen.hpp"
 #include "io/fasta.hpp"
+#include "scoring/shared_peak.hpp"
 #include "simmpi/runtime.hpp"
 #include "util/error.hpp"
 
@@ -306,6 +309,268 @@ TEST(KernelEquivalence, RecordBandMatchesIndexAndReference) {
       EXPECT_EQ(records.stats.ions_built, indexed.stats.ions_built) << label;
     }
   }
+}
+
+// ---------- the merge-join on sparse and edge inputs ----------
+
+// The merge-join skips a run of candidates whose windows are empty by
+// galloping to the next one that can reach a hypothesis. These inputs place
+// hypotheses where that skip matters — long gaps, outside the band, exactly
+// on rounded window edges, over duplicate masses, under open windows — and
+// hold the join to the reference's hits and to a linear scan's counters.
+
+/// `base`'s query contexts under hand-placed hypothesis masses: entry k is
+/// mass `masses[k]` (sorted here) for query k mod size.
+PreparedQueries with_hypotheses(const PreparedQueries& base,
+                                std::vector<double> masses) {
+  PreparedQueries prepared = base;
+  std::sort(masses.begin(), masses.end());
+  prepared.sorted_masses = masses;
+  prepared.order.clear();
+  for (std::size_t k = 0; k < masses.size(); ++k)
+    prepared.order.push_back(static_cast<std::uint32_t>(k % base.size()));
+  return prepared;
+}
+
+/// The oracle for the join's counters: every (candidate, hypothesis) pair
+/// in the query envelope whose window predicates hold, found by testing all
+/// pairs, with the score step's counting and one ion build per candidate
+/// that matches anything.
+ShardSearchStats linear_join_stats(const SearchEngine& engine,
+                                   const std::vector<CandidateRecord>& band,
+                                   const PreparedQueries& prepared) {
+  const SearchConfig& config = engine.config();
+  const double below = config.window_below();
+  const double above = config.window_above();
+  const std::size_t gate =
+      config.open_search()
+          ? config.vote_gate()
+          : (config.prefilter ? config.prefilter_min_shared_peaks : 0);
+  ShardSearchStats stats;
+  for (const CandidateRecord& record : band) {
+    const double mass = record.mass;
+    if (mass < prepared.min_mass() - below ||
+        mass > prepared.max_mass() + above)
+      continue;
+    const std::string_view peptide(record.peptide, record.length);
+    bool built = false;
+    for (std::size_t k = 0; k < prepared.sorted_masses.size(); ++k) {
+      const double m = prepared.sorted_masses[k];
+      if (!(m >= mass - above && m <= mass + below)) continue;
+      if (!built) ++stats.ions_built;
+      built = true;
+      const QueryContext& context = prepared.contexts[prepared.order[k]];
+      if (gate > 0 && shared_peak_count(context.binned(), peptide) < gate) {
+        ++stats.candidates_prefiltered;
+        continue;
+      }
+      ++stats.candidates_evaluated;
+      if (engine.score_candidate(context, peptide) >= config.score_cutoff)
+        ++stats.hits_offered;
+    }
+  }
+  return stats;
+}
+
+void expect_stats_equal(const ShardSearchStats& got,
+                        const ShardSearchStats& want,
+                        const std::string& label) {
+  EXPECT_EQ(got.candidates_evaluated, want.candidates_evaluated) << label;
+  EXPECT_EQ(got.candidates_prefiltered, want.candidates_prefiltered) << label;
+  EXPECT_EQ(got.hits_offered, want.hits_offered) << label;
+  EXPECT_EQ(got.ions_built, want.ions_built) << label;
+}
+
+/// Run search_records and (narrow windows only) search_shard at 1 and 3
+/// kernel threads over `db` with hand-placed hypotheses; every run must
+/// give the reference's hits and the linear scan's counters. Returns the
+/// oracle's evaluated count so a case can assert it exercised something.
+std::uint64_t expect_join_matches_oracles(SearchConfig config,
+                                          const ProteinDatabase& db,
+                                          const std::vector<double>& masses,
+                                          const std::string& label) {
+  const SearchEngine engine(config);
+  const PreparedQueries prepared =
+      with_hypotheses(engine.prepare(workload().queries), masses);
+  const std::vector<CandidateRecord> band = whole_shard_band(db, config);
+  const ShardSearchStats oracle = linear_join_stats(engine, band, prepared);
+  const KernelRun reference = run_reference(engine, db, prepared);
+
+  const KernelRun records = run_records(engine, band, prepared);
+  expect_hits_identical(records.hits, reference.hits, label + " records");
+  expect_stats_equal(records.stats, oracle, label + " records");
+  if (config.open_search()) return oracle.candidates_evaluated;
+  for (const std::size_t threads : {1, 3}) {
+    config.kernel_threads = threads;
+    const SearchEngine threaded(config);
+    const std::string shard_label =
+        label + " shard t=" + std::to_string(threads);
+    const KernelRun shard = run_indexed(threaded, db, prepared);
+    expect_runs_identical(shard, reference, shard_label);
+    expect_stats_equal(shard.stats, oracle, shard_label);
+  }
+  return oracle.candidates_evaluated;
+}
+
+SearchConfig join_config(double tolerance_da, bool prefilter) {
+  SearchConfig config = base_config();
+  config.tolerance_da = tolerance_da;
+  config.prefilter = prefilter;
+  return config;
+}
+
+TEST(KernelJoin, GallopsAcrossLongGaps) {
+  const Workload& w = workload();
+  for (const bool prefilter : {false, true}) {
+    const SearchConfig config = join_config(0.05, prefilter);
+    const std::vector<CandidateRecord> band = whole_shard_band(w.db, config);
+    ASSERT_GT(band.size(), 1000u);
+    // A few hypotheses, each a thousand-odd records from the next, placed
+    // on a record's mass so every one has matches.
+    std::vector<double> masses;
+    for (std::size_t i = 1; i < 8; ++i)
+      masses.push_back(band[band.size() * i / 8].mass);
+    const std::uint64_t evaluated = expect_join_matches_oracles(
+        config, w.db, masses, prefilter ? "gaps+prefilter" : "gaps");
+    if (!prefilter) {
+      EXPECT_GE(evaluated, masses.size());
+    }
+  }
+}
+
+TEST(KernelJoin, HypothesesOutsideTheBand) {
+  const Workload& w = workload();
+  const SearchConfig config = join_config(0.05, false);
+  const std::vector<CandidateRecord> band = whole_shard_band(w.db, config);
+  const double lightest = band.front().mass;
+  const double heaviest = band.back().mass;
+  const double middle = band[band.size() / 2].mass;
+  // Before the first record and past the last, around one in the middle.
+  EXPECT_GT(expect_join_matches_oracles(
+                config, w.db,
+                {lightest - 400.0, lightest - 1.0, middle, heaviest + 1.0,
+                 heaviest + 400.0},
+                "around the band"),
+            0u);
+  // Only outside: nothing matches, nothing is built.
+  EXPECT_EQ(expect_join_matches_oracles(config, w.db,
+                                        {lightest - 400.0, lightest - 1.0},
+                                        "below the band"),
+            0u);
+  EXPECT_EQ(expect_join_matches_oracles(config, w.db,
+                                        {heaviest + 1.0, heaviest + 400.0},
+                                        "past the band"),
+            0u);
+}
+
+TEST(KernelJoin, WindowEdgesExactlyAtRecordMasses) {
+  const Workload& w = workload();
+  const SearchConfig config = join_config(0.05, false);
+  const double below = config.window_below();
+  const double above = config.window_above();
+  const std::vector<CandidateRecord> band = whole_shard_band(w.db, config);
+  // Hypotheses on the rounded edges of the windows of records a few
+  // hundred apart: m = M + below is the last hypothesis M reaches, and
+  // m = M − above the first; one ulp further out reaches nothing. An anchor
+  // far below keeps every edge record inside the query envelope.
+  std::vector<double> masses{band.front().mass - 400.0};
+  for (std::size_t i = 200; i + 200 < band.size(); i += 250) {
+    const double upper = band[i].mass + below;
+    const double lower = band[i].mass - above;
+    switch ((i / 250) % 3) {
+      case 0:
+        masses.push_back(upper);
+        break;
+      case 1:
+        masses.push_back(lower);
+        break;
+      default:
+        masses.push_back(std::nextafter(upper, upper + 1.0));
+        masses.push_back(std::nextafter(lower, lower - 1.0));
+        break;
+    }
+  }
+  ASSERT_GT(masses.size(), 20u);
+  EXPECT_GT(expect_join_matches_oracles(config, w.db, masses, "edges"), 0u);
+
+  // Upper edges only on records where the rearranged test M >= m − below
+  // disagrees with the kernel's m <= M + below (M + below rounds into the
+  // next binade, so it happens just below powers of two): each is a
+  // candidate that a join skipping on the rearranged test would miss. The
+  // hypotheses stay 8 Da apart, more than a window's 6 Da, so the join
+  // reaches each by galloping from an empty window. Such records are rare,
+  // so this case searches a larger database.
+  ProteinGenOptions large_options;
+  large_options.sequence_count = 400;
+  large_options.mean_length = 130;
+  large_options.seed = 7719;
+  const ProteinDatabase large = generate_proteins(large_options);
+  const SearchConfig wide = join_config(3.0, false);
+  const std::vector<CandidateRecord> wide_band = whole_shard_band(large, wide);
+  std::vector<double> rounding{wide_band.front().mass - 400.0};
+  for (const CandidateRecord& record : wide_band) {
+    const double upper = record.mass + wide.window_below();
+    if (upper - wide.window_below() > record.mass &&
+        upper > rounding.back() + 8.0)
+      rounding.push_back(upper);
+  }
+  ASSERT_GE(rounding.size(), 4u);
+  EXPECT_GE(expect_join_matches_oracles(wide, large, rounding,
+                                        "rounded upper edges"),
+            rounding.size() - 1);
+}
+
+TEST(KernelJoin, RunsOfDuplicateMasses) {
+  const Workload& w = workload();
+  // Three copies of a few proteins under new ids: every candidate of those
+  // proteins becomes a run of three records of one mass.
+  ProteinDatabase db = w.db;
+  for (std::size_t copy = 0; copy < 2; ++copy)
+    for (std::size_t p = 0; p < 6; ++p) {
+      Protein twin = w.db.proteins[p];
+      twin.id = "dup" + std::to_string(copy) + "_" + std::to_string(p);
+      db.proteins.push_back(std::move(twin));
+    }
+  for (const bool prefilter : {false, true}) {
+    const SearchConfig config = join_config(0.05, prefilter);
+    const std::vector<CandidateRecord> band = whole_shard_band(db, config);
+    // Duplicated record masses, each hypothesis twice over (two queries
+    // sharing a hypothesis mass), spread across the band.
+    std::vector<double> masses;
+    std::size_t runs = 0;
+    for (std::size_t i = 0; i + 2 < band.size() && runs < 10; i += 37) {
+      if (band[i].mass != band[i + 2].mass) continue;
+      masses.push_back(band[i].mass);
+      masses.push_back(band[i].mass);
+      ++runs;
+    }
+    ASSERT_GE(runs, 3u);
+    const std::uint64_t evaluated = expect_join_matches_oracles(
+        config, db, masses, prefilter ? "duplicates+prefilter" : "duplicates");
+    if (!prefilter) {
+      EXPECT_GE(evaluated, 3 * masses.size());
+    }
+  }
+}
+
+TEST(KernelJoin, OpenWindowsMatchReference) {
+  const Workload& w = workload();
+  SearchConfig config = join_config(0.05, false);
+  config.open_window_da = 60.0;
+  config.min_fragment_votes = 3;
+  const std::vector<CandidateRecord> band = whole_shard_band(w.db, config);
+  // Sparse hypotheses whose ±60 Da windows are still far apart, plus the
+  // real queries' hypotheses (dense, overlapping windows).
+  std::vector<double> masses;
+  for (std::size_t i = 1; i < 6; ++i)
+    masses.push_back(band[band.size() * i / 6].mass + 0.5);
+  EXPECT_GT(expect_join_matches_oracles(config, w.db, masses, "open sparse"),
+            0u);
+  const SearchEngine engine(config);
+  EXPECT_GT(expect_join_matches_oracles(
+                config, w.db, engine.prepare(w.queries).sorted_masses,
+                "open dense"),
+            0u);
 }
 
 // ---------- kernel_threads determinism matrix ----------

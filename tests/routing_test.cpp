@@ -561,6 +561,16 @@ std::vector<char> band_bytes(const std::vector<CandidateRecord>& band) {
   return {begin, begin + band.size() * sizeof(CandidateRecord)};
 }
 
+/// The two tests below were written against a decoder that copied into a
+/// caller-owned vector; the decoder now returns a view over `bytes`. This
+/// overload keeps their bodies as they were: it leaves `out` untouched and
+/// returns the decoder's view, so every assertion reads the view.
+std::span<const CandidateRecord> decode_candidate_records(
+    std::span<const char> bytes, std::vector<CandidateRecord>& /*out*/,
+    const char* what) {
+  return msp::decode_candidate_records(bytes, what);
+}
+
 TEST(RoutingWire, CandidateRecordBandRoundTrips) {
   const std::vector<CandidateRecord> band = sorted_band(workload(false));
   ASSERT_GT(band.size(), 100u);
@@ -636,6 +646,97 @@ TEST(RoutingWire, CorruptedCandidateRecordsAreRejected) {
   std::vector<char> torn = band_bytes(band);
   torn.pop_back();
   EXPECT_THROW(decode_candidate_records(torn, out, "torn band"), IoError);
+}
+
+// The decoder returns a view over the received bytes, so it also needs them
+// aligned for CandidateRecord, and it must reject the same records wherever
+// the bytes arrive from.
+
+TEST(RoutingWire, CandidateRecordViewBorrowsThePayload) {
+  std::vector<CandidateRecord> band = sorted_band(workload(false));
+  band.resize(16);
+  const std::vector<char> bytes = band_bytes(band);
+  const std::span<const CandidateRecord> view =
+      msp::decode_candidate_records(bytes, "view");
+  EXPECT_EQ(static_cast<const void*>(view.data()),
+            static_cast<const void*>(bytes.data()));
+  EXPECT_EQ(view.size(), band.size());
+
+  // An empty payload is an empty span, wherever it points.
+  EXPECT_TRUE(msp::decode_candidate_records({}, "empty").empty());
+  EXPECT_TRUE(msp::decode_candidate_records(
+                  std::span<const char>(bytes.data() + 1, 0), "empty")
+                  .empty());
+}
+
+TEST(RoutingWire, MisalignedCandidateRecordPayloadIsRejected) {
+  std::vector<CandidateRecord> band = sorted_band(workload(false));
+  band.resize(4);
+  const std::vector<char> bytes = band_bytes(band);
+  for (std::size_t shift = 1; shift < alignof(CandidateRecord); ++shift) {
+    std::vector<char> storage(bytes.size() + alignof(CandidateRecord));
+    std::copy(bytes.begin(), bytes.end(), storage.begin() + shift);
+    const std::span<const char> shifted(storage.data() + shift, bytes.size());
+    try {
+      msp::decode_candidate_records(shifted, "shifted band");
+      ADD_FAILURE() << "payload at offset " << shift << " was accepted";
+    } catch (const IoError& error) {
+      const std::string message = error.what();
+      EXPECT_NE(message.find("shifted band"), std::string::npos) << message;
+      EXPECT_NE(message.find("aligned"), std::string::npos) << message;
+    }
+  }
+}
+
+TEST(RoutingWire, TornCandidateRecordPayloadsAreRejected) {
+  std::vector<CandidateRecord> band = sorted_band(workload(false));
+  band.resize(4);
+  const std::vector<char> bytes = band_bytes(band);
+  for (const std::size_t size :
+       {std::size_t{1}, sizeof(CandidateRecord) - 1,
+        sizeof(CandidateRecord) + 8, bytes.size() - 1}) {
+    try {
+      msp::decode_candidate_records(
+          std::span<const char>(bytes.data(), size), "torn band");
+      ADD_FAILURE() << "a " << size << "-byte payload was accepted";
+    } catch (const IoError& error) {
+      const std::string message = error.what();
+      EXPECT_NE(message.find("whole number"), std::string::npos) << message;
+    }
+  }
+}
+
+// The candidate store range-fetches a record range of another rank's store
+// and decodes it in place; a corrupted record inside the range must throw
+// there, and an intact range beside it must still decode.
+TEST(RoutingWire, CorruptedRecordInAStoreRangeFetchIsRejected) {
+  std::vector<CandidateRecord> band = sorted_band(workload(false));
+  band.resize(8);
+  band[5].end = 0xFF;
+  const std::vector<char> bytes = band_bytes(band);
+  const sim::Runtime runtime(2);
+  runtime.run([&](sim::Comm& comm) {
+    sim::Window window(comm, bytes);
+    std::vector<char> fetched;
+    sim::RmaRequest intact = window.rget_range(
+        1 - comm.rank(), 0, 4 * sizeof(CandidateRecord), fetched, 1);
+    window.wait(intact);
+    EXPECT_EQ(msp::decode_candidate_records(fetched, "store range").size(),
+              4u);
+    sim::RmaRequest corrupt =
+        window.rget_range(1 - comm.rank(), 4 * sizeof(CandidateRecord),
+                          4 * sizeof(CandidateRecord), fetched, 1);
+    window.wait(corrupt);
+    try {
+      msp::decode_candidate_records(fetched, "store range");
+      ADD_FAILURE() << "corrupted store range was accepted";
+    } catch (const IoError& error) {
+      const std::string message = error.what();
+      EXPECT_NE(message.find("store range: record 1: end"), std::string::npos)
+          << message;
+    }
+    window.fence();
+  });
 }
 
 // Legacy images and unknown shards: no histogram record means

@@ -64,7 +64,7 @@ void UncheckedWireReadCheck::check(const MatchFinder::MatchResult &Result) {
   if (!diagnosable(SM, Loc) || !Paths_.matches(SM, Loc)) return;
   diag(Loc,
        "%0 bypasses the checked wire helpers; decode through wire::Reader / "
-       "wire::get_record_header / wire::checked_array_copy so truncated or "
+       "wire::get_record_header / wire::checked_array_view so truncated or "
        "corrupt payloads fail as IoError")
       << Form;
 }

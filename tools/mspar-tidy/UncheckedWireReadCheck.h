@@ -4,7 +4,7 @@
 // Every record family that crosses the simulated wire (pack images,
 // "MSPARHST"/"MSPARFRG"/"MSPARIDX" trailers, candidate-record bands) is
 // decoded through msp::wire — the bounds-checked Reader, the
-// get_record_header validators, and checked_array_copy — so corruption
+// get_record_header validators, and checked_array_view — so corruption
 // fails loudly as IoError instead of reading past a buffer or misparsing
 // silently. A hand-rolled `memcpy(&record, bytes.data() + off, n)` or a
 // `reinterpret_cast<const Record*>(bytes.data())` sidesteps all of that.
@@ -16,8 +16,9 @@
 //
 // The encode direction (object -> bytes, e.g. exposing a record array as a
 // char span for an RMA window) stays legal, as does byte->byte copying.
-// Code lexically inside `namespace wire` is exempt — that is where the one
-// sanctioned memcpy lives. Scope: paths matching `Paths` (default src/io/
+// Code lexically inside `namespace wire` is exempt — that is where the
+// checked decodes live (the Reader's scalar memcpy and checked_array_view's
+// one reinterpret_cast). Scope: paths matching `Paths` (default src/io/
 // and src/core/, the I/O layer plus pack/unpack + transport decode code).
 #pragma once
 

@@ -6,13 +6,14 @@
 namespace msp {
 namespace wire {
 
-// The one sanctioned raw copy: a checked helper that validates the payload
-// size before touching memory (mirrors io/wire_record.hpp).
+// The one sanctioned raw decode: a checked helper that validates the
+// payload before viewing its bytes as records, in place (mirrors
+// io/wire_record.hpp, which also checks alignment and every record).
 template <typename T>
-void checked_array_copy(const std::vector<char>& bytes,
-                        std::vector<T>& out) {
-  out.resize(bytes.size() / sizeof(T));
-  if (!out.empty()) memcpy(out.data(), bytes.data(), bytes.size());
+const T* checked_array_view(const std::vector<char>& bytes,
+                            std::size_t& count) {
+  count = bytes.size() % sizeof(T) == 0 ? bytes.size() / sizeof(T) : 0;
+  return reinterpret_cast<const T*>(bytes.data());
 }
 
 }  // namespace wire
@@ -36,9 +37,9 @@ void stage(const std::vector<char>& in, std::vector<char>& out) {
   if (!in.empty()) memcpy(out.data(), in.data(), in.size());
 }
 
-void checked_decode(const std::vector<char>& payload,
-                    std::vector<Record>& out) {
-  msp::wire::checked_array_copy(payload, out);
+const Record* checked_decode(const std::vector<char>& payload,
+                             std::size_t& count) {
+  return msp::wire::checked_array_view<Record>(payload, count);
 }
 
 Record justified_raw_decode(const std::vector<char>& payload) {
