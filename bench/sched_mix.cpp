@@ -18,7 +18,7 @@
 //                          sharing the ring.
 //
 // CI gates reclaimed_idle_ratio >= 0.3 and serve_p99_ratio <= 1.1 at the
-// default 16-rank configuration (tools/check_sched_bench.py), and every
+// default 16-rank configuration (`tools/check_bench.py sched`), and every
 // query a cell publishes, serve and batch alike, carries exactly the serial
 // engine's hit list (the bench aborts otherwise). Results append to a
 // trajectory file (BENCH_sched.json, a JSON array with one entry per run;

@@ -7,6 +7,7 @@
 #include "core/rank_steps.hpp"
 #include "core/ring_search.hpp"
 #include "core/search_engine.hpp"
+#include "core/shard_map.hpp"
 #include "scoring/top_hits.hpp"
 #include "simmpi/comm.hpp"
 
@@ -45,25 +46,17 @@ void ring_search_body(sim::Comm& comm, const std::string& fasta_image,
   // is searched against it.
   const ShardIndexes local = build_shard_indexes(
       comm, local_db, config, query_mass_envelope(engine, query_set.queries));
-  // Mass routing (shared with the serving ring): the shard's bucketed mass
-  // histogram rides in the pack trailer, and a collective exchange leaves
-  // every rank holding the identical global shard mass map before the
-  // rotation starts — routing decisions are then pure functions of frozen
-  // global inputs.
-  ShardMassMap shard_map;
-  std::vector<char> local_pack;
-  if (options.mass_routing) {
-    const MassHistogram local_histogram = MassHistogram::build(local.index);
-    local_pack = local.has_fragment
-                     ? pack_database(local_db, local.index, local_histogram,
-                                     local.fragment)
-                     : pack_database(local_db, local.index, local_histogram);
-    shard_map = ShardMassMap::exchange(comm, local_histogram);
-  } else {
-    local_pack = local.has_fragment
-                     ? pack_database(local_db, local.index, local.fragment)
-                     : pack_database(local_db, local.index);
-  }
+  // The shard image carries exactly what its receivers score. Mass routing
+  // (shared with the serving ring) travels separately: a collective
+  // exchange of every shard's bucketed mass histogram leaves each rank
+  // holding the identical global shard mass map before the rotation
+  // starts, so routing decisions are pure functions of frozen global
+  // inputs.
+  const std::vector<char> local_pack = pack_shard(local_db, local);
+  const ShardMassMap shard_map =
+      options.mass_routing
+          ? ShardMassMap::exchange(comm, MassHistogram::build(local.index))
+          : ShardMassMap{};
   // D_local is exposed; with crashes scheduled, every shard is also copied
   // to its ring successor, so a dead rank's shard stays reachable there.
   ReplicatedWindow window(comm, local_pack, p);
@@ -81,7 +74,7 @@ void ring_search_body(sim::Comm& comm, const std::string& fasta_image,
   // modified match.
   auto route = [&](const PreparedQueries& queries) {
     std::vector<std::uint8_t> needed(static_cast<std::size_t>(p), 1);
-    if (!options.mass_routing || !shard_map.routes()) return needed;
+    if (!options.mass_routing) return needed;
     std::uint64_t visited = 0;
     std::uint64_t skipped = 0;
     for (int j = 0; j < p; ++j) {
@@ -144,10 +137,13 @@ void ring_search_body(sim::Comm& comm, const std::string& fasta_image,
       comp_shard = current;
     }
 
-    PackedShard fetched;
-    if (current != rank) fetched = unpack_shard(comp_buffer);
-    search_resident(comm, engine, local_db, local,
-                    current == rank ? nullptr : &fetched, prepared, tops);
+    if (current == rank) {
+      search_resident(comm, engine, local_db, local, prepared, tops);
+    } else {
+      const PackedShard fetched = unpack_shard(comp_buffer);
+      search_resident(comm, engine, fetched.db, fetched.indexes, prepared,
+                      tops);
+    }
 
     if (options.mask && prefetch.request.active) {
       window.wait(prefetch);
@@ -207,16 +203,16 @@ void ring_search_body(sim::Comm& comm, const std::string& fasta_image,
             comm.clock().charge_compute(cost.seconds_per_route_check);
             continue;
           }
-          PackedShard fetched;
-          if (shard != rank) {
-            ReplicatedWindow::Fetch fetch =
-                window.rget(shard, p, recv_buffer);
-            window.wait(fetch);
-            fetched = unpack_shard(recv_buffer);
+          if (shard == rank) {
+            search_resident(comm, engine, local_db, local, orphan_prepared,
+                            orphan_tops);
+            continue;
           }
-          search_resident(comm, engine, local_db, local,
-                          shard == rank ? nullptr : &fetched, orphan_prepared,
-                          orphan_tops);
+          ReplicatedWindow::Fetch fetch = window.rget(shard, p, recv_buffer);
+          window.wait(fetch);
+          const PackedShard fetched = unpack_shard(recv_buffer);
+          search_resident(comm, engine, fetched.db, fetched.indexes,
+                          orphan_prepared, orphan_tops);
         }
 
         publish_hits(comm, engine, orphan_tops, all_hits,

@@ -83,13 +83,10 @@ AlgorithmBResult run_algorithm_b(const sim::Runtime& runtime,
     // Index the sorted shard once, clipped to the whole query set's
     // envelope; the restricted ring ships it with the shard bytes (same
     // candidate-centric transport as Algorithm A).
-    const detail::ShardIndexes local = detail::build_shard_indexes(
+    const ShardIndexes local = detail::build_shard_indexes(
         comm, sorted.shard, config,
         detail::query_mass_envelope(engine, queries));
-    std::vector<char> local_pack =
-        local.has_fragment
-            ? pack_database(sorted.shard, local.index, local.fragment)
-            : pack_database(sorted.shard, local.index);
+    std::vector<char> local_pack = pack_shard(sorted.shard, local);
     comm.charge_alloc(local_pack.size());
     sim::Window window(comm, local_pack);
     std::size_t max_shard = 0;
@@ -126,20 +123,18 @@ AlgorithmBResult run_algorithm_b(const sim::Runtime& runtime,
           prefetch = window.rget(next, recv_buffer, pulls);
       }
 
-      if (current >= 0) {
-        PackedShard fetched;
-        if (current == rank) {
-          // Own shard: search the sorted copy and its index in place.
-        } else if (options.mask && t > 0 && !comp_buffer.empty()) {
-          fetched = unpack_shard(comp_buffer);
-        } else {
+      if (current == rank) {
+        // Own shard: search the sorted copy and its index in place.
+        detail::search_resident(comm, engine, sorted.shard, local, prepared,
+                                tops);
+      } else if (current >= 0) {
+        if (!options.mask || t == 0 || comp_buffer.empty()) {
           // First remote shard (or unmasked mode): blocking fetch.
           sim::RmaRequest fetch = window.rget(current, comp_buffer, pulls);
           window.wait(fetch);
-          fetched = unpack_shard(comp_buffer);
         }
-        detail::search_resident(comm, engine, sorted.shard, local,
-                                current == rank ? nullptr : &fetched,
+        const PackedShard fetched = unpack_shard(comp_buffer);
+        detail::search_resident(comm, engine, fetched.db, fetched.indexes,
                                 prepared, tops);
       }
 

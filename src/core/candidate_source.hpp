@@ -10,8 +10,8 @@
 //
 //  - MassWindowCandidateSource: exhaustive enumeration — builds every
 //    windowed candidate's ions and counts its matched ions directly. The
-//    ablation baseline, and the fallback for legacy pack images that carry
-//    no fragment-index record.
+//    ablation baseline, and the fallback when the caller supplies no
+//    fragment index (the serial engine).
 //  - FragmentIndexCandidateSource: walks the query's occupied bins through
 //    the shard's FragmentIndex postings, accumulating per-candidate vote
 //    counts without touching non-matching candidates at all.

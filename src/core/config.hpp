@@ -28,9 +28,9 @@ enum class ScoreModel : std::uint8_t {
 };
 
 enum class CandidateSourceKind : std::uint8_t {
-  /// Use the shard's fragment-ion index when one was shipped with the pack
-  /// image, else fall back to exhaustive mass-window enumeration — the
-  /// legacy-pack-safe default.
+  /// Use the shard's fragment-ion index when the caller supplies one (every
+  /// parallel driver ships it with the shard image), else fall back to
+  /// exhaustive mass-window enumeration (the serial engine's path).
   kAuto,
   /// Force exhaustive mass-window enumeration (the ablation baseline).
   kMassWindow,

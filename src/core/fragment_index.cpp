@@ -5,7 +5,6 @@
 #include <string>
 #include <utility>
 
-#include "core/wire.hpp"
 #include "io/wire_record.hpp"
 #include "spectra/theoretical.hpp"
 #include "util/error.hpp"

@@ -17,9 +17,8 @@
 // computes the identical integer votes the two sources admit the identical
 // candidate set: bit-identical hits by construction (DESIGN.md §5i).
 //
-// The index ships in the pack image as a versioned magic-tagged record
-// ("MSPARFRG") behind the CandidateIndex; legacy images simply lack the
-// record and open search falls back to exhaustive enumeration.
+// The index ships in the shard image as a versioned magic-tagged record
+// ("MSPARFRG") behind the CandidateIndex, whenever open search uses one.
 #pragma once
 
 #include <cstdint>

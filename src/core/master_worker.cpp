@@ -7,8 +7,8 @@
 #include "core/packdb.hpp"
 #include "core/rank_steps.hpp"
 #include "core/search_engine.hpp"
-#include "core/wire.hpp"
 #include "io/fasta.hpp"
+#include "io/wire_record.hpp"
 #include "scoring/top_hits.hpp"
 #include "simmpi/comm.hpp"
 #include "util/error.hpp"
@@ -75,7 +75,7 @@ ParallelRunResult run_master_worker(const sim::Runtime& runtime,
     // query set's envelope, and reused by every batch it is dealt (the
     // fragment index never ships: workers hold the whole database).
     auto process_batch = [&](const ProteinDatabase& db,
-                             const detail::ShardIndexes& indexes,
+                             const ShardIndexes& indexes,
                              std::size_t begin, std::size_t count) {
       comm.trace_mark("batch [" + std::to_string(begin) + ", " +
                       std::to_string(begin + count) + ")");
@@ -84,8 +84,7 @@ ParallelRunResult run_master_worker(const sim::Runtime& runtime,
       comm.clock().charge_compute(static_cast<double>(count) *
                                   cost.seconds_per_query_prep);
       std::vector<TopK<Hit>> tops = engine.make_tops(count);
-      detail::search_resident(comm, engine, db, indexes, nullptr, prepared,
-                              tops);
+      detail::search_resident(comm, engine, db, indexes, prepared, tops);
       detail::publish_hits(comm, engine, tops, all_hits, begin);
     };
 
@@ -104,7 +103,7 @@ ParallelRunResult run_master_worker(const sim::Runtime& runtime,
     if (p == 1) {
       // Uni-worker degenerate case: serial MSPolygraph.
       const ProteinDatabase db = load_full_database();
-      const detail::ShardIndexes indexes =
+      const ShardIndexes indexes =
           detail::build_shard_indexes(comm, db, config, envelope);
       for (std::size_t begin = 0; begin < queries.size();
            begin += options.batch_size) {
@@ -193,7 +192,7 @@ ParallelRunResult run_master_worker(const sim::Runtime& runtime,
       // processing and notifies the master.
       const int my_crash_batch = faults.crash_step(comm.global_rank());
       const ProteinDatabase db = load_full_database();
-      const detail::ShardIndexes indexes =
+      const ShardIndexes indexes =
           detail::build_shard_indexes(comm, db, config, envelope);
       int batches_received = 0;
       while (true) {

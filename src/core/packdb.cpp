@@ -3,16 +3,15 @@
 #include <cmath>
 #include <string>
 
-#include "core/wire.hpp"
 #include "io/wire_record.hpp"
 
 namespace msp {
 
 namespace {
 
-// Leads an indexed-shard image. A legacy image starts with the protein
-// count; a count this large would need ~5 exabytes of ids alone, so the two
-// formats cannot collide in practice.
+// Leads a shard image. A plain protein list starts with the protein count;
+// a count this large would need ~5 exabytes of ids alone, so each decoder
+// tells the other format apart by this magic.
 // "MSPARIDX" in ASCII.
 constexpr std::uint64_t kIndexedShardMagic = 0x4D53504152494458ull;
 // Version 2: the index record carries the MassEnvelope it was clipped for
@@ -132,21 +131,6 @@ CandidateIndex get_index(wire::Reader& reader, const ProteinDatabase& db) {
   return CandidateIndex(params, std::move(entries), envelope);
 }
 
-// Every indexed image: the versioned lead-in, the proteins, the index, then
-// the optional histogram and fragment-index trailers in that order.
-std::vector<char> pack_indexed(const ProteinDatabase& db,
-                               const CandidateIndex& index,
-                               const MassHistogram* histogram,
-                               const FragmentIndex* fragment) {
-  wire::Writer writer;
-  wire::put_record_header(writer, kIndexedShardMagic, kIndexedShardVersion);
-  put_proteins(writer, db);
-  put_index(writer, index);
-  if (histogram != nullptr) put_histogram(writer, *histogram);
-  if (fragment != nullptr) put_fragment_index(writer, *fragment);
-  return writer.take();
-}
-
 }  // namespace
 
 std::vector<char> pack_database(const ProteinDatabase& db) {
@@ -155,73 +139,47 @@ std::vector<char> pack_database(const ProteinDatabase& db) {
   return writer.take();
 }
 
-std::vector<char> pack_database(const ProteinDatabase& db,
-                                const CandidateIndex& index) {
-  return pack_indexed(db, index, nullptr, nullptr);
+ProteinDatabase unpack_database(std::span<const char> bytes) {
+  wire::Reader reader(bytes.data(), bytes.size());
+  if (wire::peek_record(reader, kIndexedShardMagic))
+    throw IoError("packed database: a shard image, not a protein list");
+  ProteinDatabase db = get_proteins(reader);
+  if (!reader.exhausted())
+    throw IoError("packed database has trailing bytes");
+  return db;
 }
 
-std::vector<char> pack_database(const ProteinDatabase& db,
-                                const CandidateIndex& index,
-                                const FragmentIndex& fragment) {
-  return pack_indexed(db, index, nullptr, &fragment);
-}
-
-std::vector<char> pack_database(const ProteinDatabase& db,
-                                const CandidateIndex& index,
-                                const MassHistogram& histogram) {
-  return pack_indexed(db, index, &histogram, nullptr);
-}
-
-std::vector<char> pack_database(const ProteinDatabase& db,
-                                const CandidateIndex& index,
-                                const MassHistogram& histogram,
-                                const FragmentIndex& fragment) {
-  return pack_indexed(db, index, &histogram, &fragment);
+std::vector<char> pack_shard(const ProteinDatabase& db,
+                             const ShardIndexes& indexes) {
+  wire::Writer writer;
+  wire::put_record_header(writer, kIndexedShardMagic, kIndexedShardVersion);
+  put_proteins(writer, db);
+  put_index(writer, indexes.index);
+  if (indexes.has_fragment) put_fragment_index(writer, indexes.fragment);
+  return writer.take();
 }
 
 PackedShard unpack_shard(std::span<const char> bytes) {
   wire::Reader reader(bytes.data(), bytes.size());
   PackedShard shard;
-  if (wire::peek_record(reader, kIndexedShardMagic)) {
-    wire::get_record_header(reader, kIndexedShardMagic, kIndexedShardVersion,
-                            "packed index");
-    shard.db = get_proteins(reader);
-    shard.index = get_index(reader, shard.db);
-    shard.has_index = true;
-    // Optional trailers, each magic-discriminated: the shard's mass
-    // histogram, then its fragment-ion index. Absent in legacy images
-    // (routing then treats the shard as unknown — visit always — and open
-    // search falls back to exhaustive enumeration).
-    if (peek_histogram(reader)) {
-      shard.histogram = get_histogram(reader);
-      shard.has_histogram = true;
-    }
-    if (peek_fragment_index(reader)) {
-      shard.fragment = get_fragment_index(reader);
-      shard.has_fragment = true;
-      if (shard.fragment.params().index_params != shard.index.params() ||
-          shard.fragment.candidate_count() != shard.index.size())
-        throw IoError("fragment index does not cover the shipped candidate "
-                      "index");
-    }
-  } else {
-    shard.db = get_proteins(reader);
+  wire::get_record_header(reader, kIndexedShardMagic, kIndexedShardVersion,
+                          "packed index");
+  shard.db = get_proteins(reader);
+  ShardIndexes& indexes = shard.indexes;
+  indexes.index = get_index(reader, shard.db);
+  // The one optional trailer: the fragment-ion index, shipped only when
+  // open search uses one.
+  if (peek_fragment_index(reader)) {
+    indexes.fragment = get_fragment_index(reader);
+    indexes.has_fragment = true;
+    if (indexes.fragment.params().index_params != indexes.index.params() ||
+        indexes.fragment.candidate_count() != indexes.index.size())
+      throw IoError("fragment index does not cover the shipped candidate "
+                    "index");
   }
   if (!reader.exhausted())
-    throw IoError("packed database has trailing bytes");
+    throw IoError("packed shard has trailing bytes");
   return shard;
-}
-
-PackedShard unpack_shard(const std::vector<char>& bytes) {
-  return unpack_shard(std::span<const char>(bytes.data(), bytes.size()));
-}
-
-ProteinDatabase unpack_database(std::span<const char> bytes) {
-  return unpack_shard(bytes).db;
-}
-
-ProteinDatabase unpack_database(const std::vector<char>& bytes) {
-  return unpack_database(std::span<const char>(bytes.data(), bytes.size()));
 }
 
 std::vector<char> pack_spectra(std::span<const Spectrum> spectra) {
@@ -286,6 +244,56 @@ std::vector<Spectrum> unpack_spectra(const std::vector<char>& bytes) {
   }
   if (!reader.exhausted()) throw IoError("packed spectra have trailing bytes");
   return spectra;
+}
+
+std::vector<char> pack_hits(const QueryHits& per_query) {
+  wire::Writer writer;
+  writer.put_u64(per_query.size());
+  for (const std::vector<Hit>& hits : per_query) {
+    writer.put_u32(static_cast<std::uint32_t>(hits.size()));
+    for (const Hit& hit : hits) {
+      writer.put_double(hit.score);
+      writer.put_string(hit.protein_id);
+      writer.put_u32(hit.offset);
+      writer.put_u32(hit.length);
+      writer.put_u32(static_cast<std::uint32_t>(hit.end));
+      writer.put_double(hit.mass);
+      writer.put_string(hit.peptide);
+    }
+  }
+  return writer.take();
+}
+
+QueryHits unpack_hits(const std::vector<char>& bytes) {
+  // The smallest hit: score, mass, two empty strings' u32 lengths, and the
+  // offset, length and end u32s.
+  constexpr std::size_t kMinHitBytes =
+      2 * sizeof(double) + 5 * sizeof(std::uint32_t);
+  wire::Reader reader(bytes);
+  const std::uint64_t lists = reader.get_u64();
+  if (lists > reader.remaining() / sizeof(std::uint32_t))
+    throw IoError("packed hits: list count exceeds payload");
+  QueryHits per_query(lists);
+  for (std::vector<Hit>& hits : per_query) {
+    const std::uint32_t count = reader.get_u32();
+    if (count > reader.remaining() / kMinHitBytes)
+      throw IoError("packed hits: hit count exceeds payload");
+    hits.resize(count);
+    for (Hit& hit : hits) {
+      hit.score = reader.get_double();
+      hit.protein_id = reader.get_string();
+      hit.offset = reader.get_u32();
+      hit.length = reader.get_u32();
+      const std::uint32_t end = reader.get_u32();
+      if (end > static_cast<std::uint32_t>(FragmentEnd::kInternal))
+        throw IoError("packed hit has invalid fragment-end marker");
+      hit.end = static_cast<FragmentEnd>(end);
+      hit.mass = reader.get_double();
+      hit.peptide = reader.get_string();
+    }
+  }
+  if (!reader.exhausted()) throw IoError("packed hits have trailing bytes");
+  return per_query;
 }
 
 }  // namespace msp

@@ -1,8 +1,9 @@
-// Packed database shards: the byte images Algorithm A/B move between ranks.
+// Packed payloads: the byte images the parallel drivers move between ranks.
 //
 // The paper transports raw database fragments ("database transport model");
-// we serialize a shard's proteins into one contiguous buffer so an RMA get
-// of the shard is a single modeled transfer, exactly like the C original.
+// we serialize a shard's proteins (and its indexes) into one contiguous
+// buffer so an RMA get of the shard is a single modeled transfer, exactly
+// like the C original.
 #pragma once
 
 #include <span>
@@ -10,64 +11,49 @@
 
 #include "core/candidate_index.hpp"
 #include "core/fragment_index.hpp"
-#include "core/shard_map.hpp"
+#include "core/hit.hpp"
 #include "mass/peptide.hpp"
 #include "spectra/spectrum.hpp"
 
 namespace msp {
 
-/// Serialize a database (shard) into one contiguous byte buffer.
-std::vector<char> pack_database(const ProteinDatabase& db);
-
-/// Serialize a shard together with its CandidateIndex (the candidate-centric
-/// transport: the index is built once at pack time and rides with the shard
-/// bytes, so every rank a rotation delivers the shard to reuses one
-/// enumeration instead of re-walking the proteins). The image is
-/// self-describing — unpack_shard accepts both this and the plain format.
-std::vector<char> pack_database(const ProteinDatabase& db,
-                                const CandidateIndex& index);
-
-/// Indexed image plus a trailing shard-mass-histogram record (versioned and
-/// magic-tagged), the routing layer's summary of the index. Legacy readers
-/// of the plain/indexed formats never see the trailer (the magic cannot
-/// collide with either lead-in), and unpack_shard accepts all three forms.
-std::vector<char> pack_database(const ProteinDatabase& db,
-                                const CandidateIndex& index,
-                                const MassHistogram& histogram);
-
-/// Indexed image plus a trailing fragment-ion-index record (the open-search
-/// postings built next to the CandidateIndex at pack time), without resp.
-/// with the histogram trailer. Trailer order is histogram then fragment
-/// index; each is magic-discriminated, so every subset parses.
-std::vector<char> pack_database(const ProteinDatabase& db,
-                                const CandidateIndex& index,
-                                const FragmentIndex& fragment);
-std::vector<char> pack_database(const ProteinDatabase& db,
-                                const CandidateIndex& index,
-                                const MassHistogram& histogram,
-                                const FragmentIndex& fragment);
-
-/// Inverse of pack_database. Throws IoError on malformed bytes. Accepts
-/// indexed images too (the index is parsed and dropped).
-ProteinDatabase unpack_database(std::span<const char> bytes);
-ProteinDatabase unpack_database(const std::vector<char>& bytes);
-
-/// A shard as it comes off the wire: proteins plus (when the packer shipped
-/// them) the shard's candidate index, mass histogram, and fragment-ion
-/// index.
-struct PackedShard {
-  ProteinDatabase db;
-  CandidateIndex index;     ///< empty when the image carried none
-  bool has_index = false;
-  MassHistogram histogram;  ///< empty when the image carried none
-  bool has_histogram = false;
-  FragmentIndex fragment;   ///< empty when the image carried none
+/// A shard's search indexes: the candidate index always, the fragment-ion
+/// index only when open search uses one (candidate source not forced to
+/// the mass window).
+struct ShardIndexes {
+  CandidateIndex index;
+  FragmentIndex fragment{};
   bool has_fragment = false;
 };
 
-/// Inverse of either pack_database form. Throws IoError on malformed bytes.
+/// Serialize a plain protein list: the payload Algorithm B's counting sort
+/// exchanges (sortmz.cpp).
+std::vector<char> pack_database(const ProteinDatabase& db);
+
+/// Inverse of pack_database. Throws IoError on malformed bytes, and on a
+/// shard image (pack_shard's format is not a protein list).
+ProteinDatabase unpack_database(std::span<const char> bytes);
+
+/// Serialize a shard with its indexes — the image the rings expose and
+/// fetch: a versioned MSPARIDX lead-in, the proteins, the candidate index
+/// (with the envelope it was clipped for) and, only when
+/// `indexes.has_fragment`, the MSPARFRG fragment-index trailer. The indexes
+/// are built once at pack time and ride with the shard bytes, so every rank
+/// a rotation delivers the shard to reuses one enumeration. The image
+/// carries exactly what its receiver scores: routing state travels once,
+/// in ShardMassMap::exchange, never per fetch.
+std::vector<char> pack_shard(const ProteinDatabase& db,
+                             const ShardIndexes& indexes);
+
+/// A shard as it comes off the wire.
+struct PackedShard {
+  ProteinDatabase db;
+  ShardIndexes indexes;
+};
+
+/// Inverse of pack_shard. Throws IoError on malformed bytes, and on a plain
+/// protein list (pack_database's format is not a shard image).
 PackedShard unpack_shard(std::span<const char> bytes);
-PackedShard unpack_shard(const std::vector<char>& bytes);
 
 /// Serialize one spectrum (for p2p query batches in the baseline and the
 /// query-transport ablation).
@@ -85,5 +71,12 @@ inline constexpr double kMaxPackedPeakMz = 1.0e6;
 /// spectrum counts exceeding the payload, peak m/z outside
 /// (0, kMaxPackedPeakMz], or non-finite/negative intensity.
 std::vector<Spectrum> unpack_spectra(const std::vector<char>& bytes);
+
+/// Serialize per-query partial top-τ lists (the query-transport merge).
+std::vector<char> pack_hits(const QueryHits& per_query);
+
+/// Inverse of pack_hits. Throws IoError on malformed bytes: list and hit
+/// counts exceeding the payload, an unknown fragment end, trailing bytes.
+QueryHits unpack_hits(const std::vector<char>& bytes);
 
 }  // namespace msp

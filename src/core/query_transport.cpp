@@ -6,54 +6,11 @@
 #include "core/partition.hpp"
 #include "core/rank_steps.hpp"
 #include "core/search_engine.hpp"
-#include "core/wire.hpp"
 #include "scoring/top_hits.hpp"
 #include "simmpi/comm.hpp"
 #include "util/error.hpp"
 
 namespace msp {
-namespace {
-
-std::vector<char> pack_hits(const std::vector<std::vector<Hit>>& per_query) {
-  wire::Writer writer;
-  writer.put_u64(per_query.size());
-  for (const auto& hits : per_query) {
-    writer.put_u32(static_cast<std::uint32_t>(hits.size()));
-    for (const Hit& hit : hits) {
-      writer.put_double(hit.score);
-      writer.put_string(hit.protein_id);
-      writer.put_u32(hit.offset);
-      writer.put_u32(hit.length);
-      writer.put_u32(static_cast<std::uint32_t>(hit.end));
-      writer.put_double(hit.mass);
-      writer.put_string(hit.peptide);
-    }
-  }
-  return writer.take();
-}
-
-std::vector<std::vector<Hit>> unpack_hits(const std::vector<char>& bytes) {
-  wire::Reader reader(bytes);
-  std::vector<std::vector<Hit>> per_query(reader.get_u64());
-  for (auto& hits : per_query) {
-    hits.resize(reader.get_u32());
-    for (Hit& hit : hits) {
-      hit.score = reader.get_double();
-      hit.protein_id = reader.get_string();
-      hit.offset = reader.get_u32();
-      hit.length = reader.get_u32();
-      const std::uint32_t end = reader.get_u32();
-      if (end > static_cast<std::uint32_t>(FragmentEnd::kInternal))
-        throw IoError("packed hit has invalid fragment-end marker");
-      hit.end = static_cast<FragmentEnd>(end);
-      hit.mass = reader.get_double();
-      hit.peptide = reader.get_string();
-    }
-  }
-  return per_query;
-}
-
-}  // namespace
 
 ParallelRunResult run_query_transport(const sim::Runtime& runtime,
                                       const std::string& fasta_image,
@@ -84,7 +41,7 @@ ParallelRunResult run_query_transport(const sim::Runtime& runtime,
     // envelope, and reused for all p query batches — query transport
     // benefits most, since its shard never moves (in open mode its fragment
     // index never ships either: queries move).
-    const detail::ShardIndexes local = detail::build_shard_indexes(
+    const ShardIndexes local = detail::build_shard_indexes(
         comm, local_db, config, detail::query_mass_envelope(engine, queries));
 
     // Local query block, exposed for ring transport as packed bytes.
@@ -117,8 +74,7 @@ ParallelRunResult run_query_transport(const sim::Runtime& runtime,
       comm.clock().charge_compute(static_cast<double>(batch.size()) *
                                   cost.seconds_per_query_prep);
       std::vector<TopK<Hit>> tops = engine.make_tops(batch.size());
-      detail::search_resident(comm, engine, local_db, local, nullptr, prepared,
-                              tops);
+      detail::search_resident(comm, engine, local_db, local, prepared, tops);
       partial[static_cast<std::size_t>(j)] = engine.finalize(tops);
       if (options.fence_per_iteration) window.fence();
     }

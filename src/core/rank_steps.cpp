@@ -67,19 +67,12 @@ ShardIndexes build_shard_indexes(sim::Comm& comm, const ProteinDatabase& db,
 }
 
 void search_resident(sim::Comm& comm, const SearchEngine& engine,
-                     const ProteinDatabase& own_db, const ShardIndexes& own,
-                     const PackedShard* fetched,
+                     const ProteinDatabase& db, const ShardIndexes& indexes,
                      const PreparedQueries& prepared,
                      std::vector<TopK<Hit>>& tops) {
-  const ShardSearchStats stats =
-      fetched == nullptr
-          ? engine.search_shard(own_db, prepared, tops, nullptr, &own.index,
-                                own.has_fragment ? &own.fragment : nullptr)
-          : engine.search_shard(
-                fetched->db, prepared, tops, nullptr,
-                fetched->has_index ? &fetched->index : nullptr,
-                fetched->has_fragment ? &fetched->fragment : nullptr);
-  charge_kernel(comm, stats);
+  charge_kernel(comm, engine.search_shard(
+                          db, prepared, tops, nullptr, &indexes.index,
+                          indexes.has_fragment ? &indexes.fragment : nullptr));
 }
 
 void publish_hits(sim::Comm& comm, const SearchEngine& engine,

@@ -16,7 +16,6 @@
 
 #include "core/candidate_index.hpp"
 #include "core/config.hpp"
-#include "core/fragment_index.hpp"
 #include "core/hit.hpp"
 #include "core/packdb.hpp"
 #include "core/search_engine.hpp"
@@ -44,15 +43,6 @@ std::size_t charge_query_block(sim::Comm& comm,
 MassEnvelope query_mass_envelope(const SearchEngine& engine,
                                  std::span<const Spectrum> queries);
 
-/// A shard's search indexes: the candidate index always, the fragment-ion
-/// index only when open search uses one (candidate source not forced to
-/// the mass window).
-struct ShardIndexes {
-  CandidateIndex index;
-  FragmentIndex fragment;
-  bool has_fragment = false;
-};
-
 /// Build `db`'s indexes under `config`, clipped to `envelope` — the
 /// envelope of every query any rank will search this shard with — charging
 /// one seconds_per_mz per candidate entry and per fragment posting and
@@ -61,13 +51,11 @@ ShardIndexes build_shard_indexes(sim::Comm& comm, const ProteinDatabase& db,
                                  const SearchConfig& config,
                                  const MassEnvelope& envelope);
 
-/// A2: score `prepared` against the resident shard — the rank's own
-/// (`own_db` with its indexes) when `fetched` is null, else the fetched
-/// pack, whose missing index or fragment record (a legacy pack) falls back
-/// to null — and book the kernel work.
+/// A2: score `prepared` against the resident shard `db` with its
+/// `indexes` — the rank's own or a fetched pack's — and book the kernel
+/// work.
 void search_resident(sim::Comm& comm, const SearchEngine& engine,
-                     const ProteinDatabase& own_db, const ShardIndexes& own,
-                     const PackedShard* fetched,
+                     const ProteinDatabase& db, const ShardIndexes& indexes,
                      const PreparedQueries& prepared,
                      std::vector<TopK<Hit>>& tops);
 

@@ -94,16 +94,9 @@ RingService::RingService(sim::Comm& comm, const std::string& fasta_image,
 std::span<const CandidateRecord> RingService::resident_records(
     int shard, int at_step, const Flight& flight) {
   if (shard == rank_) return {band_.data(), band_.size()};
-  const MassHistogram* histogram = shard_map_.histogram(shard);
-  if (histogram == nullptr) {
-    // Route-everything fallback (no histogram for this band): fetch whole.
-    detail::ReplicatedWindow::Fetch fetch =
-        window_->rget(shard, at_step, fetch_buffer_);
-    window_->wait(fetch);
-    return decode_candidate_records(fetch_buffer_, "ring band");
-  }
   const auto [first, last] =
-      histogram->record_range(flight.fetch_lo, flight.fetch_hi);
+      shard_map_.histogram(shard).record_range(flight.fetch_lo,
+                                               flight.fetch_hi);
   if (first >= last) return {};
   // The replica holds the same bytes at the same offsets, so a range
   // fetch redirects to it unchanged.
@@ -136,7 +129,7 @@ void RingService::admit(const ServiceBatch& batch) {
   // map answers conservatively: a 0 is a proof the member's block matches
   // nothing in that shard at the engine's tolerance.
   flight.my_routed.assign(static_cast<std::size_t>(p_), 1);
-  if (routing_ && shard_map_.routes()) {
+  if (routing_) {
     const double below = engine_.config().window_below();
     const double above = engine_.config().window_above();
     std::vector<double> member_masses;

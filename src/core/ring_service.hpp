@@ -72,8 +72,8 @@ namespace msp {
 
 /// Default histogram bucket width for the serve ring's band exchange. Bands
 /// are contiguous in mass, so the grid only has to resolve *where inside
-/// its band* a window falls — a much coarser question than the pack
-/// trailer's per-candidate occupancy map answers. 0.25 Da keeps each
+/// its band* a window falls — a much coarser question than Algorithm A's
+/// per-candidate occupancy map answers. 0.25 Da keeps each
 /// exchanged histogram to a few KB while bounding partial-fetch overshoot
 /// to a fraction of a dalton per side.
 inline constexpr double kServeRouteBucketDa = 0.25;
@@ -199,9 +199,9 @@ class RingService {
     std::size_t alloc_bytes = 0;
   };
 
-  /// Blocking-fetch `shard`'s records matching `flight`'s query window into
-  /// fetch_buffer_ and return the validated view to score (the whole
-  /// resident band for the local shard / unrouted path).
+  /// Routed visit: blocking-fetch `shard`'s records matching `flight`'s
+  /// query window into fetch_buffer_ and return the validated view to
+  /// score (the whole resident band for the local shard).
   std::span<const CandidateRecord> resident_records(int shard, int at_step,
                                                     const Flight& flight);
 
@@ -211,7 +211,7 @@ class RingService {
   QueryHits& all_hits_;
   bool routing_ = true;
   double route_bucket_da_ = kServeRouteBucketDa;
-  ShardMassMap shard_map_;  ///< empty (routes nothing out) unless routing_
+  ShardMassMap shard_map_;  ///< every band's histogram; empty unless routing_
 
   int p_ = 0;
   int rank_ = 0;

@@ -407,9 +407,10 @@ ShardSearchStats search_open(const SearchEngine& engine,
                              const FragmentIndex* fragment) {
   const SearchConfig& config = engine.config();
 
-  // Source selection: kAuto uses the shipped fragment index when present
-  // (legacy images carry none — exhaustive fallback); kFragmentIndex builds
-  // one in place when absent; kMassWindow forces exhaustive enumeration.
+  // Source selection: kAuto uses the supplied fragment index when present
+  // (the serial engine supplies none — exhaustive fallback);
+  // kFragmentIndex builds one in place when absent; kMassWindow forces
+  // exhaustive enumeration.
   FragmentIndex local_fragment;
   if (config.candidate_source == CandidateSourceKind::kMassWindow) {
     fragment = nullptr;

@@ -159,8 +159,8 @@ class SearchEngine {
   /// of the index, a CandidateSource gates the window down to candidates
   /// with ≥ vote_gate() matched ions, and only survivors are fully scored.
   /// `fragment` selects the indexed source (per candidate_source; a null
-  /// fragment with kAuto falls back to exhaustive enumeration — the
-  /// legacy-pack path); hits are bit-identical across sources, thread
+  /// fragment with kAuto falls back to exhaustive enumeration — the serial
+  /// engine's path); hits are bit-identical across sources, thread
   /// counts, and fault schedules. Narrow-window search ignores `fragment`.
   ShardSearchStats search_shard(
       const ProteinDatabase& shard, const PreparedQueries& queries,

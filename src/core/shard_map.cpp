@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "core/wire.hpp"
 #include "io/wire_record.hpp"
 #include "simmpi/comm.hpp"
 #include "util/error.hpp"
@@ -12,7 +11,7 @@ namespace msp {
 
 namespace {
 
-// Leads the histogram record in a shard pack (and the exchange payload).
+// Leads the histogram record, the ShardMassMap::exchange payload.
 // "MSPARHST" in ASCII — distinct from the indexed-shard magic.
 constexpr std::uint64_t kHistogramMagic = 0x4D53504152485354ull;
 constexpr std::uint32_t kHistogramVersion = 1;
@@ -175,10 +174,6 @@ void put_histogram(wire::Writer& writer, const MassHistogram& histogram) {
   }
 }
 
-bool peek_histogram(wire::Reader& reader) {
-  return wire::peek_record(reader, kHistogramMagic);
-}
-
 MassHistogram get_histogram(wire::Reader& reader) {
   wire::get_record_header(reader, kHistogramMagic, kHistogramVersion,
                           "shard mass histogram");
@@ -226,12 +221,12 @@ ShardMassMap ShardMassMap::exchange(sim::Comm& comm,
   const std::vector<char> mine = writer.take();
 
   const int p = comm.size();
-  std::vector<std::optional<MassHistogram>> shards(
-      static_cast<std::size_t>(p));
+  std::vector<MassHistogram> shards;
+  shards.reserve(static_cast<std::size_t>(p));
   for (int r = 0; r < p; ++r) {
     const std::vector<char> bytes = comm.bcast(r, mine);
     wire::Reader reader(bytes);
-    shards[static_cast<std::size_t>(r)] = get_histogram(reader);
+    shards.push_back(get_histogram(reader));
     if (!reader.exhausted())
       throw IoError("shard mass histogram: trailing bytes in exchange "
                     "payload");
@@ -239,35 +234,18 @@ ShardMassMap ShardMassMap::exchange(sim::Comm& comm,
   return ShardMassMap(std::move(shards));
 }
 
-bool ShardMassMap::known(int shard) const {
-  return shard >= 0 && shard < shard_count() &&
-         shards_[static_cast<std::size_t>(shard)].has_value();
-}
-
-const MassHistogram* ShardMassMap::histogram(int shard) const {
-  return known(shard) ? &*shards_[static_cast<std::size_t>(shard)] : nullptr;
-}
-
-bool ShardMassMap::routes() const {
-  return std::any_of(shards_.begin(), shards_.end(),
-                     [](const std::optional<MassHistogram>& h) {
-                       return h.has_value();
-                     });
-}
-
-bool ShardMassMap::needed(int shard,
-                          std::span<const double> hypothesis_masses,
-                          double tolerance_da) const {
-  return needed(shard, hypothesis_masses, tolerance_da, tolerance_da);
+const MassHistogram& ShardMassMap::histogram(int shard) const {
+  MSP_CHECK_MSG(shard >= 0 && shard < shard_count(),
+                "shard mass map: shard out of range");
+  return shards_[static_cast<std::size_t>(shard)];
 }
 
 bool ShardMassMap::needed(int shard,
                           std::span<const double> hypothesis_masses,
                           double below_da, double above_da) const {
-  const MassHistogram* hist = histogram(shard);
-  if (hist == nullptr) return true;  // unknown: visiting is always safe
+  const MassHistogram& hist = histogram(shard);
   for (const double mass : hypothesis_masses)
-    if (hist->occupied(mass - below_da, mass + above_da)) return true;
+    if (hist.occupied(mass - below_da, mass + above_da)) return true;
   return false;
 }
 

@@ -14,16 +14,15 @@
 // shard must be visited as before. Skipping is an optimization, never a
 // correctness decision.
 //
-// Determinism: histograms are built at pack time from the (deterministic)
-// CandidateIndex and exchanged collectively before the first ring step, so
-// every rank holds byte-identical map state. Routing decisions are pure
+// Determinism: histograms are built from the (deterministic) CandidateIndex
+// or band and exchanged collectively before the first ring step, so every
+// rank holds byte-identical map state. Routing decisions are pure
 // functions of (map, hypothesis masses, δ) — replicated controllers
 // evaluating them at fence boundaries agree without any control messages
 // (DESIGN.md §5h).
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <span>
 #include <utility>
 #include <vector>
@@ -95,8 +94,8 @@ struct MassHistogram {
                                                        double hi) const;
 };
 
-/// Append `histogram` as a versioned, magic-tagged record (the shard pack
-/// trailer; also the exchange payload).
+/// Append `histogram` as a versioned, magic-tagged record (the
+/// ShardMassMap::exchange payload).
 void put_histogram(wire::Writer& writer, const MassHistogram& histogram);
 
 /// Parse a histogram record, validating magic, version, and invariants
@@ -104,16 +103,13 @@ void put_histogram(wire::Writer& writer, const MassHistogram& histogram);
 /// grid). Throws IoError with a specific message on any violation.
 MassHistogram get_histogram(wire::Reader& reader);
 
-/// True when the reader is positioned at a histogram record's magic.
-bool peek_histogram(wire::Reader& reader);
-
-/// All p shard histograms, replicated identically on every rank. A
-/// default-constructed map knows nothing and routes everything — the legacy
-/// fallback when shard images carry no histogram record.
+/// All p shard histograms, replicated identically on every rank. Routing
+/// state is complete or absent: a map holds one histogram per shard, and a
+/// ring that does not route holds none and asks nothing.
 class ShardMassMap {
  public:
   ShardMassMap() = default;
-  explicit ShardMassMap(std::vector<std::optional<MassHistogram>> shards)
+  explicit ShardMassMap(std::vector<MassHistogram> shards)
       : shards_(std::move(shards)) {}
 
   /// Collective: every rank broadcasts its local shard's histogram and
@@ -123,30 +119,24 @@ class ShardMassMap {
   static ShardMassMap exchange(sim::Comm& comm, const MassHistogram& local);
 
   int shard_count() const { return static_cast<int>(shards_.size()); }
-  bool known(int shard) const;
-  const MassHistogram* histogram(int shard) const;
+  /// `shard`'s histogram; `shard` must be in [0, shard_count()).
+  const MassHistogram& histogram(int shard) const;
 
-  /// True when at least one shard is known — i.e. routing can ever skip.
-  bool routes() const;
-
-  /// Must the ring visit `shard` for queries with these hypothesis masses
-  /// at tolerance ±`tolerance_da`? Unknown shards always answer true
-  /// (route-everything fallback); known-empty shards always answer false.
-  bool needed(int shard, std::span<const double> hypothesis_masses,
-              double tolerance_da) const;
-
-  /// Asymmetric window form, for open/PTM search: a candidate of mass M
-  /// matches hypothesis mass m iff M ∈ [m − below, m + above] (a variant
-  /// carrying +Δ of modification mass is observed Δ *above* its base
-  /// peptide, so the window below m widens by the maximum positive Δ and
-  /// the window above by the maximum negative one). Routing must widen by
-  /// exactly the kernel's SearchConfig::window_below()/window_above() or
-  /// the PR-6 skip proof no longer covers modified precursors.
+  /// Must the ring visit `shard` for queries with these hypothesis masses?
+  /// A candidate of mass M matches hypothesis mass m iff
+  /// M ∈ [m − below, m + above] (narrow search passes ±tolerance; in
+  /// open/PTM search a variant carrying +Δ of modification mass is observed
+  /// Δ *above* its base peptide, so the window below m widens by the
+  /// maximum positive Δ and the window above by the maximum negative one).
+  /// Routing must widen by exactly the kernel's
+  /// SearchConfig::window_below()/window_above() or the skip proof no
+  /// longer covers modified precursors. Known-empty shards always answer
+  /// false.
   bool needed(int shard, std::span<const double> hypothesis_masses,
               double below_da, double above_da) const;
 
  private:
-  std::vector<std::optional<MassHistogram>> shards_;
+  std::vector<MassHistogram> shards_;
 };
 
 }  // namespace msp

@@ -1,25 +1,114 @@
-// Shared framing for magic-tagged wire records.
+// The one wire layer: the byte framing every shard image, p2p payload and
+// exchange record is written and read with.
 //
-// Several shard-pack sections are self-describing records: an 8-byte ASCII
-// magic (so a reader can peek whether the record is present at all — the
-// magics cannot collide with a legacy image's leading count field) followed
-// by a u32 format version. The histogram record
-// ("MSPARHST"), the indexed-shard lead-in ("MSPARIDX"), and the fragment-ion
-// index record ("MSPARFRG") all share this shape; the helpers below are the
-// one place the peek/validate/reject logic lives, so every record family
-// fails corruption the same way (IoError with a record-specific message).
+// Writer/Reader encode native types by memcpy — all "ranks" share one
+// process, so byte order never changes underneath us; the Reader still
+// bounds-checks every read so corrupted payloads fail loudly (IoError).
+//
+// Self-describing records lead with an 8-byte ASCII magic (so a reader can
+// peek whether an optional record is present at all) followed by a u32
+// format version. The indexed-shard lead-in ("MSPARIDX"), the fragment-ion
+// index trailer ("MSPARFRG") and the shard-mass-histogram exchange payload
+// ("MSPARHST") all share this shape; the record helpers below are the one
+// place the peek/validate/reject logic lives, so every record family fails
+// corruption the same way (IoError with a record-specific message).
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <new>
 #include <span>
 #include <string>
+#include <string_view>
 #include <type_traits>
+#include <vector>
 
-#include "core/wire.hpp"
+#include "util/error.hpp"
 
 namespace msp::wire {
+
+class Writer {
+ public:
+  void put_u8(std::uint8_t value) { put_raw(&value, sizeof(value)); }
+  void put_u32(std::uint32_t value) { put_raw(&value, sizeof(value)); }
+  void put_u64(std::uint64_t value) { put_raw(&value, sizeof(value)); }
+  void put_i32(std::int32_t value) { put_raw(&value, sizeof(value)); }
+  void put_double(double value) { put_raw(&value, sizeof(value)); }
+
+  /// Reserve `size` bytes up front (e.g. before streaming a candidate
+  /// index whose wire size is known exactly).
+  void reserve(std::size_t size) { bytes_.reserve(bytes_.size() + size); }
+
+  void put_string(std::string_view text) {
+    MSP_CHECK_MSG(text.size() <= UINT32_MAX, "string too long for wire");
+    put_u32(static_cast<std::uint32_t>(text.size()));
+    put_raw(text.data(), text.size());
+  }
+
+  const std::vector<char>& bytes() const { return bytes_; }
+  std::vector<char> take() { return std::move(bytes_); }
+
+ private:
+  void put_raw(const void* data, std::size_t size) {
+    const char* begin = static_cast<const char*>(data);
+    bytes_.insert(bytes_.end(), begin, begin + size);
+  }
+  std::vector<char> bytes_;
+};
+
+class Reader {
+ public:
+  explicit Reader(const std::vector<char>& bytes)
+      : data_(bytes.data()), size_(bytes.size()) {}
+  Reader(const char* data, std::size_t size) : data_(data), size_(size) {}
+
+  std::uint8_t get_u8() { return get_pod<std::uint8_t>(); }
+  std::uint32_t get_u32() { return get_pod<std::uint32_t>(); }
+  std::uint64_t get_u64() { return get_pod<std::uint64_t>(); }
+  std::int32_t get_i32() { return get_pod<std::int32_t>(); }
+  double get_double() { return get_pod<double>(); }
+
+  /// Peek the next u64 without consuming it (format discrimination).
+  std::uint64_t peek_u64() {
+    require(sizeof(std::uint64_t));
+    std::uint64_t value;
+    std::memcpy(&value, data_ + offset_, sizeof(value));
+    return value;
+  }
+
+  std::string get_string() {
+    const std::uint32_t length = get_u32();
+    require(length);
+    std::string out(data_ + offset_, length);
+    offset_ += length;
+    return out;
+  }
+
+  bool exhausted() const { return offset_ == size_; }
+  std::size_t remaining() const { return size_ - offset_; }
+
+ private:
+  template <typename T>
+  T get_pod() {
+    require(sizeof(T));
+    T value;
+    std::memcpy(&value, data_ + offset_, sizeof(T));
+    offset_ += sizeof(T);
+    return value;
+  }
+
+  void require(std::size_t bytes) const {
+    if (offset_ + bytes > size_)
+      throw IoError("wire: truncated payload (need " + std::to_string(bytes) +
+                    " bytes at offset " + std::to_string(offset_) + " of " +
+                    std::to_string(size_) + ")");
+  }
+
+  const char* data_;
+  std::size_t size_;
+  std::size_t offset_ = 0;
+};
 
 /// Append a versioned record header (magic + u32 version).
 void put_record_header(Writer& writer, std::uint64_t magic,

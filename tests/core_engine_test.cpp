@@ -10,16 +10,18 @@
 #include <limits>
 #include <map>
 #include <set>
+#include <string>
+#include <utility>
 
 #include "core/packdb.hpp"
 #include "core/partition.hpp"
-#include "core/wire.hpp"
 #include "core/protein_inference.hpp"
 #include "core/refinement.hpp"
 #include "core/search_engine.hpp"
 #include "dbgen/protein_gen.hpp"
 #include "dbgen/query_gen.hpp"
 #include "io/fasta.hpp"
+#include "io/wire_record.hpp"
 #include "mass/amino_acid.hpp"
 #include "util/error.hpp"
 
@@ -827,6 +829,78 @@ TEST(PackSpectra, BoundaryValuesSurviveTheLoadChecks) {
   EXPECT_DOUBLE_EQ(back[0].precursor_mz(), 1e-6);
 }
 
+// ---------- partial-hit payloads (the query-transport merge) ----------
+
+QueryHits sample_hits() {
+  Hit first;
+  first.score = 12.5;
+  first.protein_id = "sp|P1|ONE";
+  first.offset = 3;
+  first.length = 9;
+  first.end = FragmentEnd::kSuffix;
+  first.mass = 1021.5;
+  first.peptide = "PEPTIDEKR";
+  Hit second = first;
+  second.score = 7.25;
+  second.protein_id = "sp|P2|TWO";
+  second.end = FragmentEnd::kInternal;
+  return {{first, second}, {}, {first}};
+}
+
+TEST(PackHits, RoundTrip) {
+  const QueryHits hits = sample_hits();
+  const QueryHits back = unpack_hits(pack_hits(hits));
+  ASSERT_EQ(back.size(), hits.size());
+  for (std::size_t q = 0; q < hits.size(); ++q) {
+    ASSERT_EQ(back[q].size(), hits[q].size()) << "query " << q;
+    for (std::size_t i = 0; i < hits[q].size(); ++i) {
+      EXPECT_EQ(back[q][i], hits[q][i]);
+      EXPECT_EQ(back[q][i].mass, hits[q][i].mass);
+      EXPECT_EQ(back[q][i].peptide, hits[q][i].peptide);
+    }
+  }
+  EXPECT_TRUE(unpack_hits(pack_hits({})).empty());
+}
+
+// A hostile partial-hit payload fails with an msp::Error from the decoder's
+// own checks — never a std::length_error or std::bad_alloc from a count it
+// forgot to bound (any other exception type fails the test). Offsets: the
+// u64 list count, the first list's u32 hit count, then the first hit's
+// score, protein id, offset and length ahead of its end marker.
+TEST(PackHits, CorruptionMatrix) {
+  const QueryHits hits = sample_hits();
+  const std::vector<char> image = pack_hits(hits);
+  const std::size_t end_at = 8 + 4 + 8 + 4 + hits[0][0].protein_id.size() + 8;
+  const auto overwrite = [&](std::size_t offset, auto value) {
+    std::vector<char> bytes = image;
+    std::memcpy(bytes.data() + offset, &value, sizeof(value));
+    return bytes;
+  };
+  std::vector<std::pair<std::string, std::vector<char>>> cases = {
+      {"huge list count",
+       overwrite(0, std::numeric_limits<std::uint64_t>::max())},
+      {"huge hit count",
+       overwrite(8, std::numeric_limits<std::uint32_t>::max())},
+      {"bad end", overwrite(end_at, std::uint32_t{7})},
+  };
+  std::vector<char> trailing = image;
+  trailing.push_back('\0');
+  cases.emplace_back("trailing bytes", std::move(trailing));
+  for (const std::size_t keep :
+       {std::size_t{4}, std::size_t{10}, image.size() / 2, image.size() - 1})
+    cases.emplace_back("truncated to " + std::to_string(keep),
+                       std::vector<char>(image.begin(),
+                                         image.begin() +
+                                             static_cast<long>(keep)));
+  for (const auto& [label, bytes] : cases) {
+    try {
+      (void)unpack_hits(bytes);
+      ADD_FAILURE() << label << ": accepted";
+    } catch (const Error&) {
+    }
+  }
+}
+
 // The indexed-shard decoder trusts nothing the kernel dereferences or
 // merge-joins on: each hostile field of the index record is rejected with
 // an IoError that names it. Offsets follow the version-2 layout: magic and
@@ -842,7 +916,8 @@ TEST(PackDb, IndexDecoderRejectsHostileFields) {
   const CandidateIndex index = CandidateIndex::build(db, config, envelope);
   ASSERT_GT(index.size(), 3u);
   ASSERT_LT(index.entries().front().mass, index.entries().back().mass);
-  const std::vector<char> image = pack_database(db, index);
+  const std::vector<char> image =
+      pack_shard(db, ShardIndexes{.index = index});
   ASSERT_NO_THROW(unpack_shard(image));
 
   const std::size_t index_at = 12 + pack_database(db).size();
@@ -912,7 +987,8 @@ TEST(PackDb, IndexDecoderRejectsHostileFields) {
 
   // A fragment-index trailer must cover the index it ships behind.
   const FragmentIndex other = FragmentIndex::build(db, full, config.bin_width);
-  EXPECT_THROW(unpack_shard(pack_database(db, index, other)), IoError);
+  EXPECT_THROW(unpack_shard(pack_shard(db, ShardIndexes{index, other, true})),
+               IoError);
 }
 
 TEST(Partition, QueryBlocksCoverExactly) {

@@ -270,9 +270,9 @@ TEST(ClippedIndex, WireRecordCarriesTheEnvelope) {
   const CandidateIndex clipped = CandidateIndex::build(w.db, config, envelope);
   const FragmentIndex fragment =
       FragmentIndex::build(w.db, clipped, config.bin_width);
-  const PackedShard back = unpack_shard(pack_database(
-      w.db, clipped, MassHistogram::build(clipped), fragment));
-  ASSERT_TRUE(back.has_index);
+  const ShardIndexes back =
+      unpack_shard(pack_shard(w.db, ShardIndexes{clipped, fragment, true}))
+          .indexes;
   ASSERT_TRUE(back.has_fragment);
   EXPECT_EQ(back.index.envelope(), envelope);
   ASSERT_EQ(back.index.size(), clipped.size());
@@ -284,7 +284,8 @@ TEST(ClippedIndex, WireRecordCarriesTheEnvelope) {
   EXPECT_EQ(back.fragment, fragment);
   // The unclipped index round-trips its unbounded envelope too.
   const CandidateIndex full = CandidateIndex::build(w.db, config);
-  EXPECT_EQ(unpack_shard(pack_database(w.db, full)).index.envelope(),
+  EXPECT_EQ(unpack_shard(pack_shard(w.db, ShardIndexes{.index = full}))
+                .indexes.index.envelope(),
             MassEnvelope{});
 }
 

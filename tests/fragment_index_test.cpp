@@ -22,10 +22,10 @@
 #include "core/fragment_index.hpp"
 #include "core/packdb.hpp"
 #include "core/search_engine.hpp"
-#include "core/wire.hpp"
 #include "dbgen/protein_gen.hpp"
 #include "dbgen/query_gen.hpp"
 #include "io/fasta.hpp"
+#include "io/wire_record.hpp"
 #include "mass/ptm.hpp"
 #include "scoring/shared_peak.hpp"
 #include "serve/service.hpp"
@@ -290,20 +290,11 @@ TEST(FragmentIndexWire, RoundTripsThroughWriterAndPackImage) {
   EXPECT_TRUE(peek_fragment_index(reader));
   EXPECT_EQ(get_fragment_index(reader), fragment);
 
-  // The pack image: trailer parsed back intact, with and without the
-  // histogram record in front of it.
+  // The shard image: trailer parsed back intact behind the index.
   const PackedShard shard =
-      unpack_shard(pack_database(w.db, index, fragment));
-  ASSERT_TRUE(shard.has_fragment);
-  EXPECT_EQ(shard.fragment, fragment);
-  EXPECT_FALSE(shard.has_histogram);
-
-  const MassHistogram histogram = MassHistogram::build(index);
-  const PackedShard both =
-      unpack_shard(pack_database(w.db, index, histogram, fragment));
-  ASSERT_TRUE(both.has_fragment);
-  EXPECT_EQ(both.fragment, fragment);
-  EXPECT_TRUE(both.has_histogram);
+      unpack_shard(pack_shard(w.db, ShardIndexes{index, fragment, true}));
+  ASSERT_TRUE(shard.indexes.has_fragment);
+  EXPECT_EQ(shard.indexes.fragment, fragment);
 }
 
 TEST(FragmentIndexWire, RejectsCorruptedRecords) {
@@ -358,22 +349,22 @@ TEST(FragmentIndexWire, ConstructorRejectsBrokenCsr) {
   EXPECT_NO_THROW(FragmentIndex(params, 2, {0, 1, 2}, {0, 1}));
 }
 
-TEST(FragmentIndexWire, LegacyPackFallsBackToExhaustiveSearch) {
+TEST(FragmentIndexWire, ImageWithoutFragmentFallsBackToExhaustiveSearch) {
   const Workload& w = workload();
   SearchConfig config = open_config();
   const CandidateIndex index = CandidateIndex::build(w.db, config);
 
-  // A legacy (pre-fragment-record) image: no fragment trailer at all.
-  const PackedShard legacy = unpack_shard(pack_database(w.db, index));
-  ASSERT_TRUE(legacy.has_index);
-  EXPECT_FALSE(legacy.has_fragment);
+  // An image packed without a fragment index has no trailer at all.
+  const PackedShard bare =
+      unpack_shard(pack_shard(w.db, ShardIndexes{.index = index}));
+  EXPECT_FALSE(bare.indexes.has_fragment);
 
-  // kAuto with no fragment record silently enumerates exhaustively and
+  // kAuto with no fragment index silently enumerates exhaustively and
   // still lands on the oracle's hits.
   const KernelRun oracle = run_reference(config);
   config.candidate_source = CandidateSourceKind::kAuto;
-  const KernelRun fallback = run_shard(config, &legacy.index, nullptr);
-  expect_hits_identical(fallback.hits, oracle.hits, "legacy fallback");
+  const KernelRun fallback = run_shard(config, &bare.indexes.index, nullptr);
+  expect_hits_identical(fallback.hits, oracle.hits, "no-fragment fallback");
   EXPECT_EQ(fallback.stats.postings_scanned, 0u);
 }
 

@@ -190,15 +190,16 @@ TEST(KernelEquivalence, ShippedIndexMatchesLocalBuild) {
 
   const CandidateIndex index = CandidateIndex::build(w.db, config);
   ASSERT_FALSE(index.empty());
-  const std::vector<char> bytes = pack_database(w.db, index);
+  const std::vector<char> bytes =
+      pack_shard(w.db, ShardIndexes{.index = index});
 
-  // The indexed image is self-describing and survives the wire intact.
+  // The shard image is self-describing and survives the wire intact.
   const PackedShard shard = unpack_shard(bytes);
-  ASSERT_TRUE(shard.has_index);
-  EXPECT_TRUE(shard.index.params() == index.params());
-  ASSERT_EQ(shard.index.size(), index.size());
+  const CandidateIndex& shipped_index = shard.indexes.index;
+  EXPECT_TRUE(shipped_index.params() == index.params());
+  ASSERT_EQ(shipped_index.size(), index.size());
   for (std::size_t i = 0; i < index.size(); ++i) {
-    const IndexedCandidate& a = shard.index.entries()[i];
+    const IndexedCandidate& a = shipped_index.entries()[i];
     const IndexedCandidate& b = index.entries()[i];
     ASSERT_EQ(a.mass, b.mass) << "entry " << i;
     ASSERT_EQ(a.protein, b.protein) << "entry " << i;
@@ -209,20 +210,14 @@ TEST(KernelEquivalence, ShippedIndexMatchesLocalBuild) {
 
   // Searching with the shipped index == searching with an internal build.
   const KernelRun shipped =
-      run_indexed(engine, shard.db, prepared, &shard.index);
+      run_indexed(engine, shard.db, prepared, &shipped_index);
   const KernelRun internal = run_indexed(engine, w.db, prepared);
   expect_runs_identical(shipped, internal, "shipped index");
   EXPECT_EQ(shipped.stats.ions_built, internal.stats.ions_built);
 
-  // Legacy consumers that only want proteins still work on indexed images.
-  const ProteinDatabase plain = unpack_database(bytes);
-  ASSERT_EQ(plain.proteins.size(), w.db.proteins.size());
-  EXPECT_EQ(plain.proteins.back().residues, w.db.proteins.back().residues);
-
-  // And an un-indexed image reports has_index = false.
-  const PackedShard legacy = unpack_shard(pack_database(w.db));
-  EXPECT_FALSE(legacy.has_index);
-  EXPECT_EQ(legacy.db.proteins.size(), w.db.proteins.size());
+  // The image carries the shard's proteins intact.
+  ASSERT_EQ(shard.db.proteins.size(), w.db.proteins.size());
+  EXPECT_EQ(shard.db.proteins.back().residues, w.db.proteins.back().residues);
 }
 
 TEST(KernelEquivalence, RejectsIndexBuiltUnderDifferentParams) {

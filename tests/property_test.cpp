@@ -3,9 +3,12 @@
 // and truncated input (must throw IoError or succeed — never crash).
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <sstream>
 #include <string>
 #include <tuple>
+#include <utility>
+#include <vector>
 
 #include "core/algorithm_a.hpp"
 #include "core/packdb.hpp"
@@ -249,11 +252,11 @@ TEST(Fuzz, PackedDatabaseTruncationsAlwaysThrowOrParse) {
   }
 }
 
-// Every byte of a packed shard is untrusted: a bit flip anywhere — the
-// proteins, the candidate index and its envelope, the histogram or the
-// fragment-index trailer — either parses or fails with an msp::Error from
-// the decoders' own checks, never a length_error or bad_alloc from a size
-// field they forgot to bound.
+// Every byte of a packed payload is untrusted: a bit flip anywhere — a
+// plain protein list, a shard image's proteins, candidate index and its
+// envelope or fragment-index trailer, or a partial-hit payload — either
+// parses or fails with an msp::Error from the decoders' own checks, never
+// a length_error or bad_alloc from a size field they forgot to bound.
 TEST(Fuzz, PackedDatabaseBitFlipsNeverCrash) {
   ProteinGenOptions options;
   options.sequence_count = 6;
@@ -263,18 +266,40 @@ TEST(Fuzz, PackedDatabaseBitFlipsNeverCrash) {
   config.max_candidate_length = 12;
   const CandidateIndex index = CandidateIndex::build(
       db, config, MassEnvelope{600.0, 1200.0, 3.0, 3.0});
-  const std::vector<std::vector<char>> images = {
-      pack_database(db),
-      pack_database(db, index, MassHistogram::build(index),
-                    FragmentIndex::build(db, index, config.bin_width))};
+  Hit hit;
+  hit.score = 3.5;
+  hit.protein_id = db.proteins.front().id;
+  hit.length = 6;
+  hit.mass = 700.25;
+  hit.peptide = db.proteins.front().residues.substr(0, 6);
+  using Decoder = std::function<void(const std::vector<char>&)>;
+  const Decoder as_list = [](const std::vector<char>& bytes) {
+    (void)unpack_database(bytes);
+  };
+  const Decoder as_shard = [](const std::vector<char>& bytes) {
+    (void)unpack_shard(bytes);
+  };
+  const Decoder as_hits = [](const std::vector<char>& bytes) {
+    (void)unpack_hits(bytes);
+  };
+  const std::vector<std::pair<std::vector<char>, Decoder>> images = {
+      {pack_database(db), as_list},
+      {pack_shard(db, ShardIndexes{.index = index}), as_shard},
+      {pack_shard(db,
+                  ShardIndexes{index,
+                               FragmentIndex::build(db, index,
+                                                    config.bin_width),
+                               true}),
+       as_shard},
+      {pack_hits({{hit, hit}, {}, {hit}}), as_hits}};
   Xoshiro256 rng(104);
-  for (const std::vector<char>& bytes : images) {
+  for (const auto& [bytes, decode] : images) {
     for (int trial = 0; trial < 400; ++trial) {
       std::vector<char> corrupted = bytes;
       const std::size_t position = rng.bounded(corrupted.size());
       corrupted[position] ^= static_cast<char>(1u << rng.bounded(8));
       try {
-        (void)unpack_shard(corrupted);
+        decode(corrupted);
       } catch (const Error&) {
         // IoError from a decoder check, or InvalidArgument from a record's
         // own invariant check

@@ -4,8 +4,11 @@
 // schedules), the exhaustive skip proof (a routed-away band truly holds no
 // candidate for any skipped query), byte-level determinism of routed runs
 // (hits, report JSON, trace) across reruns, kernel thread counts, and crash
-// re-admission, the histogram wire record's round-trip/fallback/corruption
-// properties, and the router's audit counters in the report schema.
+// re-admission, the histogram wire record's round-trip/corruption
+// properties, the one-image/one-exchange contract (each pack decoder rejects
+// the other format, A's shard image does not depend on routing, the
+// exchange covers every shard), and the router's audit counters in the
+// report schema.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -23,10 +26,10 @@
 #include "core/ring_service.hpp"
 #include "core/search_engine.hpp"
 #include "core/shard_map.hpp"
-#include "core/wire.hpp"
 #include "dbgen/protein_gen.hpp"
 #include "dbgen/query_gen.hpp"
 #include "io/fasta.hpp"
+#include "io/wire_record.hpp"
 #include "serve/service.hpp"
 #include "simmpi/runtime.hpp"
 #include "util/error.hpp"
@@ -230,7 +233,8 @@ TEST(Routing, SkippedShardsContainNoCandidatesExhaustive) {
             return true;
         return false;
       };
-      if (!map.needed(comm.rank(), hyp, config.tolerance_da)) {
+      if (!map.needed(comm.rank(), hyp, config.tolerance_da,
+                      config.tolerance_da)) {
         ++skipped[rank];
         for (const CandidateRecord& record : band)
           if (in_window(record.mass)) ++skip_violations[rank];
@@ -241,7 +245,7 @@ TEST(Routing, SkippedShardsContainNoCandidatesExhaustive) {
           lo = std::min(lo, m);
           hi = std::max(hi, m);
         }
-        const auto [first, last] = map.histogram(comm.rank())->record_range(
+        const auto [first, last] = map.histogram(comm.rank()).record_range(
             lo - config.tolerance_da, hi + config.tolerance_da);
         for (std::size_t i = 0; i < band.size(); ++i)
           if (in_window(band[i].mass) && (i < first || i >= last))
@@ -389,7 +393,6 @@ TEST(RoutingWire, HistogramRecordRoundTripFuzz) {
     put_histogram(writer, histogram);
     const std::vector<char> bytes = writer.take();
     wire::Reader reader(bytes);
-    EXPECT_TRUE(peek_histogram(reader));
     const MassHistogram parsed = get_histogram(reader);
     EXPECT_TRUE(reader.exhausted()) << "trial " << trial;
 
@@ -495,11 +498,9 @@ TEST(RoutingWire, CorruptedHistogramRecordsAreRejected) {
     EXPECT_THROW(get_histogram(reader), IoError) << label;
   };
 
-  {  // Bad magic: peek says "not a histogram", get throws.
+  {  // Bad magic.
     std::vector<char> bytes = valid;
     bytes[0] ^= 0x5A;
-    wire::Reader reader(bytes);
-    EXPECT_FALSE(peek_histogram(reader));
     expect_rejected(bytes, "bad magic");
   }
   {  // Truncation anywhere in the record.
@@ -739,46 +740,80 @@ TEST(RoutingWire, CorruptedRecordInAStoreRangeFetchIsRejected) {
   });
 }
 
-// Legacy images and unknown shards: no histogram record means
-// route-everything, never a wrong skip.
+// One shard image, one exchange: the image a ring exposes carries exactly
+// what its receiver scores, and the routing state travels once, complete.
 
-TEST(RoutingWire, LegacyImagesFallBackToRouteEverything) {
+TEST(RoutingWire, EachDecoderRejectsTheOtherFormat) {
   const Workload& w = workload(false);
-  const SearchConfig config = make_config(0.05);
+  const ShardIndexes indexes{
+      .index = CandidateIndex::build(w.db, make_config(0.05))};
+  const std::vector<char> plain = pack_database(w.db);
+  const std::vector<char> shard = pack_shard(w.db, indexes);
+  EXPECT_EQ(unpack_database(plain).proteins.size(), w.db.proteins.size());
+  EXPECT_EQ(unpack_shard(shard).indexes.index.size(), indexes.index.size());
+  EXPECT_THROW(unpack_shard(plain), IoError);
+  EXPECT_THROW(unpack_database(shard), IoError);
+}
 
-  // Plain and indexed pack images predate the histogram trailer; both must
-  // still parse, reporting no histogram.
-  const PackedShard plain = unpack_shard(pack_database(w.db));
-  EXPECT_FALSE(plain.has_histogram);
-  const CandidateIndex index = CandidateIndex::build(w.db, config);
-  const PackedShard indexed = unpack_shard(pack_database(w.db, index));
-  EXPECT_TRUE(indexed.has_index);
-  EXPECT_FALSE(indexed.has_histogram);
+// Routing changes which shards a rank fetches, never what a shard's image
+// holds: every rank exposes the same image, so the D_local + D_recv +
+// D_comp footprint is identical with mass_routing on and off, and at a
+// window wide enough that nothing is skipped so is every fetch.
+TEST(RoutingWire, AlgorithmAShardImageIsTheSameWithRoutingOnAndOff) {
+  const Workload& w = workload(false);
+  const sim::Runtime runtime(4);
+  for (const double tolerance : {0.05, 500.0}) {
+    const SearchConfig config = make_config(tolerance);
+    AlgorithmAOptions options;
+    options.mass_routing = true;
+    const ParallelRunResult routed =
+        run_algorithm_a(runtime, w.image, w.queries, config, options);
+    options.mass_routing = false;
+    const ParallelRunResult unrouted =
+        run_algorithm_a(runtime, w.image, w.queries, config, options);
+    expect_hits_identical(routed.hits, unrouted.hits, "routed vs unrouted");
+    const bool skipped = routed.report.sum_counter("route_steps_skipped") > 0;
+    EXPECT_EQ(skipped, tolerance < 1.0) << "tolerance " << tolerance;
+    for (std::size_t r = 0; r < routed.report.ranks.size(); ++r) {
+      const sim::RankStats& on = routed.report.ranks[r];
+      const sim::RankStats& off = unrouted.report.ranks[r];
+      EXPECT_EQ(on.peak_memory_bytes, off.peak_memory_bytes)
+          << "tolerance " << tolerance << " rank " << r;
+      if (!skipped) {
+        EXPECT_EQ(on.rget_issued_seconds, off.rget_issued_seconds)
+            << "tolerance " << tolerance << " rank " << r;
+      }
+    }
+  }
+}
 
-  // The trailer form round-trips its histogram.
-  const MassHistogram histogram = MassHistogram::build(index);
-  const PackedShard tagged =
-      unpack_shard(pack_database(w.db, index, histogram));
-  ASSERT_TRUE(tagged.has_histogram);
-  EXPECT_EQ(tagged.histogram.total(), histogram.total());
-  EXPECT_EQ(tagged.histogram.bucket_count, histogram.bucket_count);
-
-  // A map built from nothing knows nothing and routes everything; a map
-  // holding an empty histogram proves that shard empty and skips it.
-  const ShardMassMap unknown;
-  EXPECT_FALSE(unknown.routes());
-  EXPECT_FALSE(unknown.known(0));
-  EXPECT_EQ(unknown.histogram(0), nullptr);
-  const std::vector<double> hyp{1000.0};
-  EXPECT_TRUE(unknown.needed(0, hyp, 0.05));
-
-  std::vector<std::optional<MassHistogram>> shards(2);
-  shards[0] = histogram;
-  shards[1] = MassHistogram{};  // provably empty shard
-  const ShardMassMap partial{std::move(shards)};
-  EXPECT_TRUE(partial.routes());
-  EXPECT_FALSE(partial.needed(1, hyp, 0.05));
-  EXPECT_TRUE(partial.needed(2, hyp, 0.05));  // out of range: visit
+TEST(RoutingWire, ExchangeCoversEveryShard) {
+  constexpr int p = 5;
+  // Rank r summarizes r masses, so shard 0 is provably empty.
+  const auto masses_of = [](int r) {
+    std::vector<double> masses;
+    for (int k = 0; k < r; ++k) masses.push_back(600.0 + 50.0 * r + k);
+    return masses;
+  };
+  std::vector<std::size_t> mismatches(p, 0);
+  sim::Runtime(p).run([&](sim::Comm& comm) {
+    const ShardMassMap map = ShardMassMap::exchange(
+        comm, MassHistogram::build(masses_of(comm.rank())));
+    std::size_t& bad = mismatches[static_cast<std::size_t>(comm.rank())];
+    if (map.shard_count() != p) ++bad;
+    for (int j = 0; j < p; ++j) {
+      const std::vector<double> masses = masses_of(j);
+      if (map.histogram(j).total() != masses.size()) ++bad;
+      if (map.needed(j, masses, 0.01, 0.01) != !masses.empty()) ++bad;
+    }
+    try {
+      (void)map.histogram(p);
+      ++bad;
+    } catch (const InvalidArgument&) {
+    }
+  });
+  for (int r = 0; r < p; ++r)
+    EXPECT_EQ(mismatches[static_cast<std::size_t>(r)], 0u) << "rank " << r;
 }
 
 }  // namespace
