@@ -59,11 +59,8 @@ void ring_search_body(sim::Comm& comm, const std::string& fasta_image,
           : ShardMassMap{};
   // D_local is exposed; with crashes scheduled, every shard is also copied
   // to its ring successor, so a dead rank's shard stays reachable there.
-  ReplicatedWindow window(comm, local_pack, p);
+  ShardWindow window(comm, local_pack, p);
   const int my_crash_step = window.crash_step(rank);
-
-  std::vector<char> comp_buffer = local_pack;  // D_comp starts as own shard
-  std::vector<char> recv_buffer;               // D_recv
 
   // Router verdict per shard for a query block, fixed for the whole
   // rotation (the block and the map are both frozen before step 0). A 0 is
@@ -73,29 +70,21 @@ void ring_search_body(sim::Comm& comm, const std::string& fasta_image,
   // observed mass); routing widens identically or a skip could hide a
   // modified match.
   auto route = [&](const PreparedQueries& queries) {
-    std::vector<std::uint8_t> needed(static_cast<std::size_t>(p), 1);
-    if (!options.mass_routing) return needed;
-    std::uint64_t visited = 0;
-    std::uint64_t skipped = 0;
-    for (int j = 0; j < p; ++j) {
-      const bool need =
-          shard_map.needed(j, std::span<const double>(queries.sorted_masses),
-                           config.window_below(), config.window_above());
-      needed[static_cast<std::size_t>(j)] = need ? 1 : 0;
-      if (need)
-        ++visited;
-      else
-        ++skipped;
-    }
+    if (!options.mass_routing)
+      return std::vector<std::uint8_t>(static_cast<std::size_t>(p), 1);
+    std::vector<std::uint8_t> needed =
+        shard_map.route(std::span<const double>(queries.sorted_masses),
+                        config.window_below(), config.window_above());
+    const auto visited = static_cast<std::uint64_t>(
+        std::count(needed.begin(), needed.end(), std::uint8_t{1}));
     comm.clock().charge_compute(static_cast<double>(p) *
                                 cost.seconds_per_route_check);
     comm.bump("route_steps_visited", visited);
-    comm.bump("route_steps_skipped", skipped);
+    comm.bump("route_steps_skipped", static_cast<std::uint64_t>(p) - visited);
     return needed;
   };
   const std::vector<std::uint8_t> shard_needed = route(prepared);
 
-  int comp_shard = rank;  // shard image resident in comp_buffer
   for (int s = 0; s < p; ++s) {
     comm.trace_mark("A2 ring step " + std::to_string(s));
     if (my_crash_step >= 0 && s >= my_crash_step) {
@@ -118,38 +107,26 @@ void ring_search_body(sim::Comm& comm, const std::string& fasta_image,
       continue;
     }
 
+    // Non-blocking request for the next *visited* iteration's shard (A2's
+    // masking), issued before this iteration's computation. A shard the
+    // router will skip is never worth fetching; after the last step the
+    // successor is the rank's own shard, which the window never fetches.
     const int next = (rank + s + 1) % p;
-
-    ReplicatedWindow::Fetch prefetch;
-    if (options.mask) {
-      // Non-blocking request for the next *visited* iteration's shard
-      // (A2's masking): issued before this iteration's computation. A
-      // shard the router will skip is never worth fetching.
-      if (s + 1 < p && shard_needed[static_cast<std::size_t>(next)])
-        prefetch = window.rget(next, s, recv_buffer);
-    }
-    if (current != rank && comp_shard != current) {
-      // Nothing delivered this shard under a previous step's mask (the
-      // unmasked variant, or the router skipped the steps in between):
-      // fetch it blocking, fully exposing the transfer.
-      ReplicatedWindow::Fetch fetch = window.rget(current, s, comp_buffer);
-      window.wait(fetch);
-      comp_shard = current;
-    }
+    if (options.mask && shard_needed[static_cast<std::size_t>(next)])
+      window.prefetch(next, s);
 
     if (current == rank) {
       search_resident(comm, engine, local_db, local, prepared, tops);
     } else {
-      const PackedShard fetched = unpack_shard(comp_buffer);
+      // Unless a previous step's mask delivered this shard, resident()
+      // fetches it blocking (the unmasked variant, or the router skipped
+      // the steps in between), fully exposing the transfer.
+      const PackedShard fetched = unpack_shard(window.resident(current, s));
       search_resident(comm, engine, fetched.db, fetched.indexes, prepared,
                       tops);
     }
 
-    if (options.mask && prefetch.request.active) {
-      window.wait(prefetch);
-      std::swap(comp_buffer, recv_buffer);
-      comp_shard = next;
-    }
+    window.settle();
     if (options.fence_per_iteration) window.fence();
   }
   // Window close is collective (MPI_Win_free): no rank may free its
@@ -208,9 +185,9 @@ void ring_search_body(sim::Comm& comm, const std::string& fasta_image,
                             orphan_tops);
             continue;
           }
-          ReplicatedWindow::Fetch fetch = window.rget(shard, p, recv_buffer);
-          window.wait(fetch);
-          const PackedShard fetched = unpack_shard(recv_buffer);
+          // Always re-pulled (dead shards from their replicas): the
+          // rotation's resident shard is never reused here.
+          const PackedShard fetched = unpack_shard(window.fetch(shard, p));
           search_resident(comm, engine, fetched.db, fetched.indexes,
                           orphan_prepared, orphan_tops);
         }

@@ -86,14 +86,10 @@ AlgorithmBResult run_algorithm_b(const sim::Runtime& runtime,
     const ShardIndexes local = detail::build_shard_indexes(
         comm, sorted.shard, config,
         detail::query_mass_envelope(engine, queries));
-    std::vector<char> local_pack = pack_shard(sorted.shard, local);
-    comm.charge_alloc(local_pack.size());
-    sim::Window window(comm, local_pack);
-    std::size_t max_shard = 0;
-    for (int r = 0; r < p; ++r)
-      max_shard = std::max(max_shard, window.shard_size(r));
-    comm.charge_alloc(2 * max_shard + static_cast<std::size_t>(p) *
-                                          sizeof(MzBoundary));
+    const std::vector<char> local_pack = pack_shard(sorted.shard, local);
+    // Crash schedules were rejected up front: the window never replicates.
+    detail::ShardWindow window(comm, local_pack, p);
+    comm.charge_alloc(static_cast<std::size_t>(p) * sizeof(MzBoundary));
 
     // Ranks may have different sender-group sizes; iterate to the global
     // maximum so the per-iteration fences stay collective.
@@ -108,40 +104,26 @@ AlgorithmBResult run_algorithm_b(const sim::Runtime& runtime,
       return low_rank + (offset + t) % group;
     };
 
-    std::vector<char> comp_buffer;
-    std::vector<char> recv_buffer;
-    const int pulls = comm.network().concurrent_pulls(p);
-
     for (int t = 0; t < max_group; ++t) {
       comm.trace_mark("B3 ring step " + std::to_string(t));
       const int current = shard_at(t);
       const int next = shard_at(t + 1);
 
-      sim::RmaRequest prefetch;
-      if (options.mask) {
-        if (next >= 0 && next != rank)
-          prefetch = window.rget(next, recv_buffer, pulls);
-      }
+      if (options.mask && next >= 0) window.prefetch(next, t);
 
       if (current == rank) {
         // Own shard: search the sorted copy and its index in place.
         detail::search_resident(comm, engine, sorted.shard, local, prepared,
                                 tops);
       } else if (current >= 0) {
-        if (!options.mask || t == 0 || comp_buffer.empty()) {
-          // First remote shard (or unmasked mode): blocking fetch.
-          sim::RmaRequest fetch = window.rget(current, comp_buffer, pulls);
-          window.wait(fetch);
-        }
-        const PackedShard fetched = unpack_shard(comp_buffer);
+        // The first remote shard (or every one, unmasked) is fetched
+        // blocking; later ones were prefetched under the previous step.
+        const PackedShard fetched = unpack_shard(window.resident(current, t));
         detail::search_resident(comm, engine, fetched.db, fetched.indexes,
                                 prepared, tops);
       }
 
-      if (options.mask && prefetch.active) {
-        window.wait(prefetch);
-        std::swap(comp_buffer, recv_buffer);
-      }
+      window.settle();
       if (options.fence_per_iteration) window.fence();
     }
     // Window close is collective (MPI_Win_free semantics).

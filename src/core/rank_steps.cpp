@@ -97,9 +97,8 @@ void publish_hits(sim::Comm& comm, const SearchEngine& engine,
   comm.bump("hits_reported", reported);
 }
 
-ReplicatedWindow::ReplicatedWindow(sim::Comm& comm,
-                                   std::span<const char> local_shard,
-                                   int horizon)
+ShardWindow::ShardWindow(sim::Comm& comm, std::span<const char> local_shard,
+                         int horizon)
     : comm_(comm),
       horizon_(horizon),
       pulls_(comm.network().concurrent_pulls(comm.size())),
@@ -122,7 +121,7 @@ ReplicatedWindow::ReplicatedWindow(sim::Comm& comm,
   }
 }
 
-std::span<const char> ReplicatedWindow::expose(
+std::span<const char> ShardWindow::expose(
     std::span<const char> local_shard) const {
   if (comm_.faults().has_crashes()) {
     int survivors = 0;
@@ -137,18 +136,17 @@ std::span<const char> ReplicatedWindow::expose(
   return local_shard;
 }
 
-int ReplicatedWindow::crash_step(int r) const {
+int ShardWindow::crash_step(int r) const {
   const int step = comm_.faults().crash_step(comm_.global_rank_of(r));
   return step >= 0 && step < horizon_ ? step : -1;
 }
 
-bool ReplicatedWindow::dead_at(int r, int at_step) const {
+bool ShardWindow::dead_at(int r, int at_step) const {
   const int step = crash_step(r);
   return step >= 0 && step <= at_step;
 }
 
-std::pair<sim::Window*, int> ReplicatedWindow::source(int owner,
-                                                      int at_step) {
+std::pair<sim::Window*, int> ShardWindow::source(int owner, int at_step) {
   // Crashes are step-boundary events: a transfer issued before the owner's
   // crash step completes normally.
   if (!dead_at(owner, at_step)) return {&window_, owner};
@@ -160,19 +158,48 @@ std::pair<sim::Window*, int> ReplicatedWindow::source(int owner,
   return {&*replica_window_, holder};
 }
 
-ReplicatedWindow::Fetch ReplicatedWindow::rget(int owner, int at_step,
-                                               std::vector<char>& dest) {
+ShardWindow::Get ShardWindow::issue(int owner, int at_step,
+                                    std::vector<char>& dest) {
   const auto [window, target] = source(owner, at_step);
-  return Fetch{window->rget(target, dest, pulls_), window};
+  return Get{window->rget(target, dest, pulls_), window};
 }
 
-ReplicatedWindow::Fetch ReplicatedWindow::rget_range(int owner, int at_step,
-                                                     std::size_t offset,
-                                                     std::size_t length,
-                                                     std::vector<char>& dest) {
+std::span<const char> ShardWindow::resident(int owner, int at_step) {
+  if (comp_owner_ != owner) {
+    issue(owner, at_step, comp_).wait();
+    comp_owner_ = owner;
+  }
+  return comp_;
+}
+
+void ShardWindow::prefetch(int owner, int at_step) {
+  if (owner == comm_.rank()) return;
+  pending_ = issue(owner, at_step, recv_);
+  pending_owner_ = owner;
+}
+
+void ShardWindow::settle() {
+  if (!pending_.request.active) return;
+  // Wait before the swap: D_recv belongs to the transfer until then (the
+  // destination-buffer lifetime rule, simmpi/comm.hpp).
+  pending_.wait();
+  std::swap(comp_, recv_);
+  comp_owner_ = pending_owner_;
+}
+
+std::span<const char> ShardWindow::fetch(int owner, int at_step) {
+  issue(owner, at_step, recv_).wait();
+  return recv_;
+}
+
+std::span<const char> ShardWindow::fetch_range(int owner, int at_step,
+                                               std::size_t offset,
+                                               std::size_t length) {
   const auto [window, target] = source(owner, at_step);
-  return Fetch{window->rget_range(target, offset, length, dest, pulls_),
-               window};
+  sim::RmaRequest get =
+      window->rget_range(target, offset, length, range_, pulls_);
+  window->wait(get);
+  return range_;
 }
 
 }  // namespace msp::detail

@@ -1,10 +1,12 @@
 // Internal: the per-rank supersteps every parallel driver is built from —
 // load the rank's chunk (A1), index it, score the local queries against a
-// resident shard (A2), report the top-τ lists (A3) — plus the replicated
-// shard window the crash-tolerant rings (Algorithm A and the serving ring)
-// fetch through. Each step books its own clock and memory charges, so a
-// driver keeps only what makes it different: which bytes move where, and
-// when. Not part of the public API.
+// resident shard (A2), report the top-τ lists (A3) — plus the shard window
+// the rotating drivers fetch through. The window owns the paper's A2 double
+// buffer (D_comp, D_recv) and the replica the crash-tolerant rings recover
+// from; Algorithm A, the hybrid's sub-rings, Algorithm B's restricted ring
+// and the serving ring all drive it. Each step books its own clock and
+// memory charges, so a driver keeps only what makes it different: which
+// shard it scores when. Not part of the public API.
 #pragma once
 
 #include <cstddef>
@@ -66,29 +68,26 @@ void publish_hits(sim::Comm& comm, const SearchEngine& engine,
                   std::vector<TopK<Hit>>& tops, QueryHits& all_hits,
                   std::size_t first_slot);
 
-/// The rank-shard RMA window plus, when the run schedules crashes, a copy
-/// of every shard on its ring successor. Crash steps index the ring's
-/// steps; a scheduled step at or past `horizon` never fires on this
-/// communicator (Algorithm A's single rotation passes p for it, the
-/// serving ring, whose steps are unbounded, INT_MAX).
+/// The rank-shard RMA window, the A2 double buffer (D_comp holds the
+/// shard being scored, D_recv the masked prefetch of the next one) and,
+/// when the run schedules crashes, a copy of every shard on its ring
+/// successor. Crash steps index the ring's steps; a scheduled step at or
+/// past `horizon` never fires on this communicator (Algorithm A's single
+/// rotation passes p for it, the serving ring, whose steps are unbounded,
+/// INT_MAX).
 ///
 /// Construction is collective: it charges D_local (the exposed bytes) and
 /// D_recv + D_comp (twice the largest shard), and with crashes scheduled
 /// pulls the ring predecessor's shard before any crash can fire and
-/// exposes it through a second window. A dead owner's shard is then
-/// fetched from its successor — the same bytes at the same offsets, so
-/// range fetches redirect unchanged. Throws FaultUnrecoverable when the
-/// schedule kills every rank.
-class ReplicatedWindow {
+/// exposes it through a second window. A fetch issued at step `at_step`
+/// after the owner died there is served by its successor — the same bytes
+/// at the same offsets, so range fetches redirect unchanged. Throws
+/// FaultUnrecoverable when the schedule kills every rank, or a shard's
+/// owner and replica holder both. Returned bytes stay valid until the next
+/// call that writes the same buffer.
+class ShardWindow {
  public:
-  /// A fetch in flight, on whichever window serves it.
-  struct Fetch {
-    sim::RmaRequest request;
-    sim::Window* window = nullptr;
-  };
-
-  ReplicatedWindow(sim::Comm& comm, std::span<const char> local_shard,
-                   int horizon);
+  ShardWindow(sim::Comm& comm, std::span<const char> local_shard, int horizon);
 
   /// Rank r's crash step under the horizon, -1 for none.
   int crash_step(int r) const;
@@ -97,14 +96,21 @@ class ReplicatedWindow {
   /// True when the run schedules crashes (the replica exists).
   bool replicated() const { return replica_window_.has_value(); }
 
-  /// Fetch `owner`'s whole shard (or bytes [offset, offset + length) of
-  /// it) issued at step `at_step`, from the replica holder when the owner
-  /// is already dead at issue time. Throws FaultUnrecoverable when the
-  /// holder is dead too.
-  Fetch rget(int owner, int at_step, std::vector<char>& dest);
-  Fetch rget_range(int owner, int at_step, std::size_t offset,
-                   std::size_t length, std::vector<char>& dest);
-  void wait(Fetch& fetch) { fetch.window->wait(fetch.request); }
+  /// D_comp holding `owner`'s shard. When no earlier prefetch delivered
+  /// it, the shard is fetched blocking — the transfer fully exposed.
+  std::span<const char> resident(int owner, int at_step);
+  /// Masked get of `owner`'s shard into D_recv, to land under this step's
+  /// scoring. The rank's own shard is never fetched: a no-op.
+  void prefetch(int owner, int at_step);
+  /// Wait for the pending prefetch and swap it into D_comp as the resident
+  /// shard; a no-op when nothing is pending.
+  void settle();
+  /// Blocking, uncached fetch of `owner`'s whole shard into D_recv.
+  std::span<const char> fetch(int owner, int at_step);
+  /// Blocking fetch of bytes [offset, offset + length) of `owner`'s shard
+  /// into a scratch buffer of its own.
+  std::span<const char> fetch_range(int owner, int at_step, std::size_t offset,
+                                    std::size_t length);
 
   /// Collective fence of the shard window.
   void fence() { window_.fence(); }
@@ -119,6 +125,14 @@ class ReplicatedWindow {
   std::span<const char> expose(std::span<const char> local_shard) const;
   /// Which window serves `owner`'s shard at `at_step`, and from which rank.
   std::pair<sim::Window*, int> source(int owner, int at_step);
+  /// A get in flight, on whichever window serves it.
+  struct Get {
+    sim::RmaRequest request;
+    sim::Window* window = nullptr;
+    void wait() { window->wait(request); }
+  };
+  /// Issue a get of `owner`'s whole shard into `dest`.
+  Get issue(int owner, int at_step, std::vector<char>& dest);
 
   sim::Comm& comm_;
   int horizon_;
@@ -126,6 +140,13 @@ class ReplicatedWindow {
   sim::Window window_;
   std::vector<char> replica_;
   std::optional<sim::Window> replica_window_;
+
+  std::vector<char> comp_;   ///< D_comp
+  std::vector<char> recv_;   ///< D_recv
+  std::vector<char> range_;  ///< fetch_range() scratch
+  int comp_owner_ = -1;      ///< shard resident in D_comp (-1: none)
+  Get pending_;              ///< the prefetch into D_recv, if any
+  int pending_owner_ = -1;
 };
 
 }  // namespace msp::detail

@@ -100,12 +100,21 @@ std::span<const CandidateRecord> RingService::resident_records(
   if (first >= last) return {};
   // The replica holds the same bytes at the same offsets, so a range
   // fetch redirects to it unchanged.
-  detail::ReplicatedWindow::Fetch fetch = window_->rget_range(
-      shard, at_step, static_cast<std::size_t>(first) * sizeof(CandidateRecord),
-      static_cast<std::size_t>(last - first) * sizeof(CandidateRecord),
-      fetch_buffer_);
-  window_->wait(fetch);
-  return decode_candidate_records(fetch_buffer_, "ring band");
+  return decode_candidate_records(
+      window_->fetch_range(
+          shard, at_step,
+          static_cast<std::size_t>(first) * sizeof(CandidateRecord),
+          static_cast<std::size_t>(last - first) * sizeof(CandidateRecord)),
+      "ring band");
+}
+
+void RingService::score(Flight& flight, int shard,
+                        std::span<const CandidateRecord> records) {
+  std::vector<TopK<Hit>> shard_tops = engine_.make_tops(flight.block.count());
+  charge_kernel(comm_,
+                engine_.search_records(records, flight.prepared, shard_tops));
+  for (std::size_t q = 0; q < flight.block.count(); ++q)
+    flight.tops[q].absorb(static_cast<std::size_t>(shard), shard_tops[q]);
 }
 
 void RingService::admit(const ServiceBatch& batch) {
@@ -128,47 +137,40 @@ void RingService::admit(const ServiceBatch& batch) {
   // agree everywhere and this rank's own row needs no communication. The
   // map answers conservatively: a 0 is a proof the member's block matches
   // nothing in that shard at the engine's tolerance.
+  // Unrouted, every member with a block visits all p shards, which keeps
+  // the audit columns meaningful (skip ratio 0).
   flight.my_routed.assign(static_cast<std::size_t>(p_), 1);
-  if (routing_) {
-    const double below = engine_.config().window_below();
-    const double above = engine_.config().window_above();
-    std::vector<double> member_masses;
-    for (std::size_t m = 0; m < flight.ranks.size(); ++m) {
-      const QueryRange member_block =
-          query_block(flight.ids.size(), static_cast<int>(m),
-                      static_cast<int>(flight.ranks.size()));
-      if (member_block.count() == 0) continue;
-      member_masses.clear();
-      for (std::size_t i = member_block.begin; i < member_block.end; ++i) {
-        MSP_CHECK_MSG(flight.ids[i] < queries_.size(),
-                      "service batch query id out of range");
-        for (const double mass :
-             engine_.hypothesis_masses(queries_[flight.ids[i]]))
-          member_masses.push_back(mass);
-      }
-      for (int shard = 0; shard < p_; ++shard) {
-        const bool need =
-            shard_map_.needed(shard, member_masses, below, above);
-        if (flight.ranks[m] == rank_)
-          flight.my_routed[static_cast<std::size_t>(shard)] = need ? 1 : 0;
-        if (need)
-          ++flight.steps_visited;
-        else
-          ++flight.steps_skipped;
-      }
+  std::vector<double> member_masses;
+  for (std::size_t m = 0; m < flight.ranks.size(); ++m) {
+    const QueryRange member_block =
+        query_block(flight.ids.size(), static_cast<int>(m),
+                    static_cast<int>(flight.ranks.size()));
+    if (member_block.count() == 0) continue;
+    if (!routing_) {
+      flight.steps_visited += static_cast<std::uint64_t>(p_);
+      continue;
     }
+    member_masses.clear();
+    for (std::size_t i = member_block.begin; i < member_block.end; ++i) {
+      MSP_CHECK_MSG(flight.ids[i] < queries_.size(),
+                    "service batch query id out of range");
+      for (const double mass :
+           engine_.hypothesis_masses(queries_[flight.ids[i]]))
+        member_masses.push_back(mass);
+    }
+    std::vector<std::uint8_t> verdict =
+        shard_map_.route(member_masses, engine_.config().window_below(),
+                         engine_.config().window_above());
+    const auto visited = static_cast<std::uint64_t>(
+        std::count(verdict.begin(), verdict.end(), std::uint8_t{1}));
+    flight.steps_visited += visited;
+    flight.steps_skipped += static_cast<std::uint64_t>(p_) - visited;
+    if (flight.ranks[m] == rank_) flight.my_routed = std::move(verdict);
+  }
+  if (routing_)
     comm_.clock().charge_compute(static_cast<double>(flight.ranks.size()) *
                                  static_cast<double>(p_) *
                                  cost.seconds_per_route_check);
-  } else {
-    // Unrouted: every member with a block visits all p shards. Keeps the
-    // audit columns meaningful (skip ratio 0) in unrouted runs.
-    for (std::size_t m = 0; m < flight.ranks.size(); ++m)
-      if (query_block(flight.ids.size(), static_cast<int>(m),
-                      static_cast<int>(flight.ranks.size()))
-              .count() > 0)
-        flight.steps_visited += static_cast<std::uint64_t>(p_);
-  }
 
   const auto member =
       std::find(flight.ranks.begin(), flight.ranks.end(), rank_);
@@ -254,32 +256,18 @@ ServiceStepOutcome RingService::step(bool prefetch_next) {
         if (flight.block.count() == 0 ||
             !flight.my_routed[static_cast<std::size_t>(shard)])
           continue;  // admit() already recorded the skip in its tops
-        const std::span<const CandidateRecord> resident =
-            resident_records(shard, s, flight);
-        std::vector<TopK<Hit>> shard_tops =
-            engine_.make_tops(flight.block.count());
-        const ShardSearchStats stats =
-            engine_.search_records(resident, flight.prepared, shard_tops);
-        charge_kernel(comm_, stats);
-        for (std::size_t q = 0; q < flight.block.count(); ++q)
-          flight.tops[q].absorb(static_cast<std::size_t>(shard),
-                                shard_tops[q]);
+        score(flight, shard, resident_records(shard, s, flight));
       }
     } else {
       // Unrouted visit: make the whole band resident. While the ring stays
       // busy the previous step's prefetch already delivered it; after an
-      // idle gap or a declined prefetch hint, fetch it blocking — fully
-      // exposed, exactly the cost the masked path avoids.
-      if (shard != rank_ && comp_shard_ != shard) {
-        detail::ReplicatedWindow::Fetch fetch =
-            window_->rget(shard, s, comp_buffer_);
-        window_->wait(fetch);
-        comp_shard_ = shard;
-      }
+      // idle gap or a declined prefetch hint, resident() fetches it
+      // blocking — fully exposed, exactly the cost the masked path avoids.
       const std::span<const CandidateRecord> resident =
           shard == rank_
               ? std::span<const CandidateRecord>(band_.data(), band_.size())
-              : decode_candidate_records(comp_buffer_, "ring band");
+              : decode_candidate_records(window_->resident(shard, s),
+                                         "ring band");
 
       // Masked prefetch of the next step's band under this step's scoring
       // (Algorithm A's A2 pattern, amortized over every in-flight batch).
@@ -288,31 +276,15 @@ ServiceStepOutcome RingService::step(bool prefetch_next) {
       // foresee. The step counter alone decides which shard each step
       // scores, so a prefetched band is never the wrong one — it is
       // exactly step s + 1's.
-      const int next_shard = (rank_ + s + 1) % p_;
       bool continues = prefetch_next;
       for (const Flight& flight : flights_)
         if (s < flight.first_step + p_ - 1) continues = true;
-      detail::ReplicatedWindow::Fetch prefetch;
-      if (continues && next_shard != rank_)
-        prefetch = window_->rget(next_shard, s, recv_buffer_);
+      if (continues) window_->prefetch((rank_ + s + 1) % p_, s);
 
-      for (Flight& flight : flights_) {
-        if (flight.block.count() == 0) continue;
-        std::vector<TopK<Hit>> shard_tops =
-            engine_.make_tops(flight.block.count());
-        const ShardSearchStats stats =
-            engine_.search_records(resident, flight.prepared, shard_tops);
-        charge_kernel(comm_, stats);
-        for (std::size_t q = 0; q < flight.block.count(); ++q)
-          flight.tops[q].absorb(static_cast<std::size_t>(shard),
-                                shard_tops[q]);
-      }
+      for (Flight& flight : flights_)
+        if (flight.block.count() > 0) score(flight, shard, resident);
 
-      if (prefetch.request.active) {
-        window_->wait(prefetch);
-        std::swap(comp_buffer_, recv_buffer_);
-        comp_shard_ = next_shard;
-      }
+      window_->settle();
     }
   }
   // Every rank — zombies included — attends the fence: this is both the

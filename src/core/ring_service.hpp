@@ -47,9 +47,10 @@
 // step() so the serving layer re-admits them (they re-enter admission, get
 // re-batched, and are re-scored from scratch — same hits, later). Bands
 // stay reachable through the ring-successor replica of the
-// detail::ReplicatedWindow Algorithm A fetches through too — the replica
-// holds the same bytes at the same offsets, so partial fetches redirect
-// unchanged.
+// detail::ShardWindow Algorithm A fetches through too — the replica holds
+// the same bytes at the same offsets, so partial fetches redirect
+// unchanged. The same window owns the unrouted ring's D_comp/D_recv double
+// buffer.
 #pragma once
 
 #include <cstddef>
@@ -86,10 +87,6 @@ struct ServiceBatch {
   std::vector<std::size_t> query_ids;
 };
 
-/// What one ring step produced. Every field is a function of fence-aligned
-/// state plus the globally known schedules, so all ranks (zombies included)
-/// return identical outcomes — the lockstep contract the per-rank
-/// controllers rely on.
 /// One batch leaving the ring, with the router's audit trail: how many of
 /// its (member rank, shard) scoring slots the mass router visited vs
 /// proved empty and skipped. Counted over members with nonempty blocks,
@@ -102,6 +99,10 @@ struct PublishedBatch {
   std::uint64_t steps_skipped = 0;
 };
 
+/// What one ring step produced. Every field is a function of fence-aligned
+/// state plus the globally known schedules, so all ranks (zombies included)
+/// return identical outcomes — the lockstep contract the per-rank
+/// controllers rely on.
 struct ServiceStepOutcome {
   int step = 0;  ///< the step ordinal just executed
   /// Fence-aligned boundary time this step ended on (including the crash
@@ -200,10 +201,14 @@ class RingService {
   };
 
   /// Routed visit: blocking-fetch `shard`'s records matching `flight`'s
-  /// query window into fetch_buffer_ and return the validated view to
-  /// score (the whole resident band for the local shard).
+  /// query window and return the validated view to score (the whole
+  /// resident band for the local shard).
   std::span<const CandidateRecord> resident_records(int shard, int at_step,
                                                     const Flight& flight);
+  /// Score `flight`'s block against `records` of `shard` and absorb the
+  /// per-shard top-τ lists.
+  void score(Flight& flight, int shard,
+             std::span<const CandidateRecord> records);
 
   sim::Comm& comm_;
   std::span<const Spectrum> queries_;
@@ -219,11 +224,7 @@ class RingService {
 
   std::vector<CandidateRecord> band_;  ///< this rank's mass band (sorted)
   /// Exposes band_'s raw bytes (plus the successor replica under crashes).
-  std::optional<detail::ReplicatedWindow> window_;
-  std::vector<char> comp_buffer_;   ///< unrouted: resident remote band
-  std::vector<char> recv_buffer_;   ///< unrouted: masked prefetch target
-  std::vector<char> fetch_buffer_;  ///< routed: partial-fetch target
-  int comp_shard_ = -1;  ///< shard id resident in comp_buffer_ (-1: none)
+  std::optional<detail::ShardWindow> window_;
 
   int step_ = 0;
   std::vector<Flight> flights_;

@@ -249,4 +249,14 @@ bool ShardMassMap::needed(int shard,
   return false;
 }
 
+std::vector<std::uint8_t> ShardMassMap::route(
+    std::span<const double> hypothesis_masses, double below_da,
+    double above_da) const {
+  std::vector<std::uint8_t> verdict(shards_.size());
+  for (int shard = 0; shard < shard_count(); ++shard)
+    verdict[static_cast<std::size_t>(shard)] =
+        needed(shard, hypothesis_masses, below_da, above_da) ? 1 : 0;
+  return verdict;
+}
+
 }  // namespace msp

@@ -134,6 +134,10 @@ class ShardMassMap {
   /// false.
   bool needed(int shard, std::span<const double> hypothesis_masses,
               double below_da, double above_da) const;
+  /// needed() for every shard: the router's per-shard verdict vector
+  /// (1 = visit, 0 = provably empty, skip), one entry per shard.
+  std::vector<std::uint8_t> route(std::span<const double> hypothesis_masses,
+                                  double below_da, double above_da) const;
 
  private:
   std::vector<MassHistogram> shards_;

@@ -16,7 +16,6 @@
 #include <string>
 #include <vector>
 
-#include "core/pipeline.hpp"
 #include "serve/admission.hpp"
 #include "serve/arrival.hpp"
 #include "serve/batcher.hpp"
@@ -67,11 +66,6 @@ struct JobSpec {
   double submit_s = -1.0;
   std::size_t query_begin = 0;
   std::size_t query_end = 0;
-  /// kBatch: which driver the job asked for. The ring *is* the unified
-  /// execution engine — every algorithm is hit-identical by the repo's
-  /// core invariant, so this is validated metadata that names the
-  /// equivalent standalone run (the oracle the tests compare against).
-  Algorithm algorithm = Algorithm::kAlgorithmA;
   /// kServe: this session's arrival process (times relative to submit_s),
   /// batching, admission policy, and how its closed batches enter the ring
   /// (kBatchAtATime: one batch at a time, only onto an empty ring).

@@ -179,10 +179,10 @@ class SchedController {
       const std::size_t j = pick_batch_job();
       if (j == jobs_.size()) break;
       JobRt& job = jobs_[j];
-      std::size_t take = std::min(options_.chunk_queries, job.pending.size());
-      const std::size_t cap = ledger_.spec(job.tenant).max_inflight_queries;
-      if (cap != 0)
-        take = std::min(take, cap - tenant_inflight(job.tenant));
+      const std::size_t take =
+          std::min({options_.chunk_queries, job.pending.size(),
+                    ledger_.inflight_room(job.tenant,
+                                          tenant_inflight(job.tenant))});
       std::vector<std::size_t> ids;
       ids.reserve(take);
       for (std::size_t i = 0; i < take; ++i) {
@@ -309,19 +309,10 @@ class SchedController {
   /// unsubmitted job's submit time, or a live serve session's next arrival
   /// or batch deadline.
   double next_event_time() const {
-    double next = kNever;
-    for (std::size_t j = 0; j < jobs_.size(); ++j) {
-      const JobRt& job = jobs_[j];
-      if (!job.submitted) {
+    double next = next_serve_event();
+    for (const JobRt& job : jobs_)
+      if (!job.submitted && job.spec->kind != JobKind::kServe)
         next = std::min(next, job.submit_s);
-        continue;
-      }
-      if (job.completed || job.spec->kind != JobKind::kServe) continue;
-      const std::vector<double>& arrivals = serve_arrivals_[j];
-      if (job.next_arrival < arrivals.size())
-        next = std::min(next, arrivals[job.next_arrival]);
-      next = std::min(next, job.batcher->next_deadline());
-    }
     return next;
   }
 
@@ -509,8 +500,8 @@ class SchedController {
       if (!job.live() || job.spec->kind != JobKind::kBatch ||
           job.pending.empty())
         continue;
-      const std::size_t cap = ledger_.spec(job.tenant).max_inflight_queries;
-      if (cap != 0 && tenant_inflight(job.tenant) >= cap) continue;
+      if (ledger_.inflight_room(job.tenant, tenant_inflight(job.tenant)) == 0)
+        continue;
       if (best == jobs_.size() || ranks_before(j, best)) best = j;
     }
     return best;
@@ -741,14 +732,21 @@ void validate(const std::vector<Spectrum>& queries,
     throw InvalidArgument("chunk_queries must be >= 1");
   if (options.max_inflight_chunks == 0)
     throw InvalidArgument("max_inflight_chunks must be >= 1");
-  if (options.step_estimate_init_s <= 0.0)
-    throw InvalidArgument("step_estimate_init_s must be positive");
+  if (!std::isfinite(options.step_estimate_init_s) ||
+      options.step_estimate_init_s <= 0.0)
+    throw InvalidArgument("step_estimate_init_s must be finite and positive");
   std::vector<std::pair<std::size_t, std::size_t>> ranges;
   for (const JobSpec& job : options.jobs) {
     if (job.name.empty()) throw InvalidArgument("job with an empty name");
     if (job.kind == JobKind::kPack) {
       if (job.pack_slices == 0)
         throw InvalidArgument("pack job " + job.name + " with zero slices");
+      for (const auto& [field, seconds] :
+           {std::pair{"pack_slice_compute_s", job.pack_slice_compute_s},
+            std::pair{"pack_slice_io_s", job.pack_slice_io_s}})
+        if (!std::isfinite(seconds) || seconds < 0.0)
+          throw InvalidArgument("pack job " + job.name + ": " + field +
+                                " must be finite and non-negative");
       continue;
     }
     if (job.query_begin > job.query_end || job.query_end > queries.size())

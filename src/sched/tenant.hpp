@@ -11,9 +11,11 @@
 // walks the identical trajectory.
 #pragma once
 
+#include <algorithm>
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -68,12 +70,13 @@ class TenantLedger {
   }
   double usage(std::size_t t) const { return usage_[t]; }
 
-  /// True when admitting `more` in-flight queries would push tenant `t`
-  /// over its max_inflight_queries cap.
-  bool over_inflight_cap(std::size_t t, std::size_t inflight,
-                         std::size_t more) const {
+  /// How many more queries tenant `t` may put in flight with `inflight`
+  /// already there: the room under its max_inflight_queries cap, or
+  /// SIZE_MAX when the tenant is uncapped.
+  std::size_t inflight_room(std::size_t t, std::size_t inflight) const {
     const std::size_t cap = specs_[t].max_inflight_queries;
-    return cap != 0 && inflight + more > cap;
+    return cap == 0 ? std::numeric_limits<std::size_t>::max()
+                    : cap - std::min(cap, inflight);
   }
 
  private:

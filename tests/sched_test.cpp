@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <map>
 #include <string>
 #include <vector>
@@ -121,10 +122,8 @@ sched::SchedOptions default_mix() {
   options.jobs.push_back(serve_job("frontend", "acme", 0, 12));
   options.jobs.push_back(
       batch_job("analytics", "zeta", 12, 24, sched::Priority::kLow));
-  options.jobs.back().algorithm = Algorithm::kAlgorithmA;
   options.jobs.push_back(
       batch_job("reproc", "acme", 24, 36, sched::Priority::kNormal));
-  options.jobs.back().algorithm = Algorithm::kAlgorithmB;
   options.chunk_queries = 6;
   return options;
 }
@@ -626,6 +625,43 @@ TEST(Sched, RejectsMalformedMixes) {
   sched::SchedOptions zero_chunk = default_mix();
   zero_chunk.chunk_queries = 0;
   EXPECT_THROW(run(zero_chunk), InvalidArgument);
+
+  // Costs that would run the virtual clocks backwards, and estimates that
+  // are not finite and positive, are rejected at validation — naming the
+  // field, not at some later internal check.
+  const auto rejects = [&](const sched::SchedOptions& options,
+                           const std::string& field) {
+    try {
+      run(options);
+      ADD_FAILURE() << field << " accepted";
+    } catch (const InvalidArgument& error) {
+      EXPECT_NE(std::string(error.what()).find(field), std::string::npos)
+          << error.what();
+    }
+  };
+  sched::JobSpec slice;
+  slice.name = "index";
+  slice.tenant = "acme";
+  slice.kind = sched::JobKind::kPack;
+  slice.pack_slices = 2;
+  for (const double bad : {-5.0, std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity()}) {
+    sched::SchedOptions bad_compute = default_mix();
+    bad_compute.jobs.push_back(slice);
+    bad_compute.jobs.back().pack_slice_compute_s = bad;
+    rejects(bad_compute, "pack_slice_compute_s");
+
+    sched::SchedOptions bad_io = default_mix();
+    bad_io.jobs.push_back(slice);
+    bad_io.jobs.back().pack_slice_io_s = bad;
+    rejects(bad_io, "pack_slice_io_s");
+  }
+  for (const double bad : {0.0, -1.0, std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity()}) {
+    sched::SchedOptions bad_estimate = default_mix();
+    bad_estimate.step_estimate_init_s = bad;
+    rejects(bad_estimate, "step_estimate_init_s");
+  }
 }
 
 TEST(Sched, NamesRoundTrip) {
