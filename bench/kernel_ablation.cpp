@@ -9,12 +9,16 @@
 //
 // Results append to a trajectory file (BENCH_kernel.json, a JSON array with
 // one entry per run). CI replays the bench and gates on the RATIOS — the
-// indexed-vs-reference speedup and the simd-vs-scalar backend ratio — which
-// transfer across machines, unlike absolute wall-clock; see
+// indexed-vs-reference speedup, the simd-vs-scalar backend ratio and the
+// fused-vs-two-step ladder build ratio — which transfer across machines,
+// unlike absolute wall-clock; see
 // `tools/check_bench.py kernel` and EXPERIMENTS.md.
+#include <algorithm>
 #include <iostream>
 #include <limits>
 #include <sstream>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "bench/common.hpp"
@@ -196,7 +200,6 @@ int main(int argc, char** argv) {
   pairs.reserve(kKernelPairSample);
   {
     msp::FragmentIonWorkspace workspace;
-    const msp::TheoreticalOptions ion_options;
     const std::vector<msp::IndexedCandidate>& entries = index.entries();
     const auto first_at_or_above = [&](double mass) {
       return static_cast<std::size_t>(
@@ -219,10 +222,9 @@ int main(int argc, char** argv) {
         const std::string_view peptide =
             std::string_view(protein.residues)
                 .substr(entry.offset, entry.length);
-        pairs.emplace_back(qi, msp::IonLadder{});
-        msp::build_ion_ladder(
-            msp::fragment_ions_into(peptide, ion_options, workspace),
-            config.bin_width, pairs.back().second);
+        pairs.emplace_back(
+            qi, msp::build_peptide_ladder(peptide, config.bin_width,
+                                          workspace));
       }
     }
   }
@@ -265,6 +267,68 @@ int main(int argc, char** argv) {
   const double kernel_ratio =
       msp::simd_compiled() ? kernel_scalar.seconds / kernel_simd.seconds : 1.0;
 
+  // Ladder build: the two-step path (fragment_ions_into, then
+  // build_ion_ladder — what the reference kernel runs) against the fused
+  // build_peptide_ladder every other kernel runs, over the candidates the
+  // indexed kernel builds a ladder for (every entry with a non-empty
+  // window). Both must produce the same ladders.
+  std::vector<std::string_view> built_peptides;
+  for (const msp::IndexedCandidate& entry : index.entries()) {
+    const auto lo = std::lower_bound(prepared.sorted_masses.begin(),
+                                     prepared.sorted_masses.end(),
+                                     entry.mass - config.window_above());
+    if (lo == prepared.sorted_masses.end() ||
+        !(*lo <= entry.mass + config.window_below()))
+      continue;
+    const msp::Protein& protein = workload.db.proteins[entry.protein];
+    built_peptides.push_back(std::string_view(protein.residues)
+                                 .substr(entry.offset, entry.length));
+  }
+  if (built_peptides.empty() ||
+      built_peptides.size() != indexed_scalar.stats.ions_built) {
+    std::cerr << "FATAL: ladder sample is empty or not the indexed "
+                 "kernel's builds\n";
+    return 1;
+  }
+  const auto ladder_pass = [&](auto&& build) {
+    double best = std::numeric_limits<double>::infinity();
+    std::uint64_t digest = 0;
+    for (int r = 0; r < repeats; ++r) {
+      digest = 0;
+      const msp::WallTimer timer;
+      for (const std::string_view peptide : built_peptides) {
+        const msp::IonLadder& ladder = build(peptide);
+        digest = digest * 31 + ladder.size;
+        for (std::size_t i = 0; i < ladder.size; ++i)
+          digest = digest * 31 + static_cast<std::uint32_t>(ladder.bins[i]);
+        for (const std::uint8_t mask : ladder.y_mask)
+          digest = digest * 31 + mask;
+      }
+      best = std::min(best, timer.seconds());
+    }
+    return std::make_pair(
+        best * 1e9 / static_cast<double>(built_peptides.size()), digest);
+  };
+  msp::FragmentIonWorkspace ladder_workspace;
+  const msp::TheoreticalOptions ion_options;
+  const auto [ladder_two_step_ns, two_step_digest] =
+      ladder_pass([&](std::string_view peptide) -> const msp::IonLadder& {
+        msp::build_ion_ladder(
+            msp::fragment_ions_into(peptide, ion_options, ladder_workspace),
+            config.bin_width, ladder_workspace.ladder);
+        return ladder_workspace.ladder;
+      });
+  const auto [ladder_fused_ns, fused_digest] =
+      ladder_pass([&](std::string_view peptide) -> const msp::IonLadder& {
+        return msp::build_peptide_ladder(peptide, config.bin_width,
+                                         ladder_workspace);
+      });
+  if (fused_digest != two_step_digest) {
+    std::cerr << "FATAL: fused and two-step ladders disagree\n";
+    return 1;
+  }
+  const double ladder_ratio = ladder_two_step_ns / ladder_fused_ns;
+
   std::cout << "== Kernel ablation (" << sequences << " sequences, "
             << query_count << " queries x " << config.charge_hypotheses.size()
             << " charge hypotheses, simd "
@@ -280,6 +344,10 @@ int main(int argc, char** argv) {
     std::cout << ", simd " << kernel_simd.seconds * 1e3 << " ms ("
               << kernel_ratio << "x)";
   std::cout << "\n";
+  std::cout << "ladder build (" << built_peptides.size()
+            << " candidates the indexed kernel builds): two-step "
+            << ladder_two_step_ns << " ns, fused " << ladder_fused_ns
+            << " ns (" << ladder_ratio << "x)\n";
 
   msp::JsonWriter json;
   json.begin_object();
@@ -314,6 +382,9 @@ int main(int argc, char** argv) {
     json.field("kernel_simd_seconds", kernel_simd.seconds);
     json.field("kernel_simd_over_scalar", kernel_ratio);
   }
+  json.field("ladder_two_step_ns", ladder_two_step_ns);
+  json.field("ladder_fused_ns", ladder_fused_ns);
+  json.field("ladder_fused_over_two_step", ladder_ratio);
   for (const auto& [threads, seconds] : threaded) {
     json.field("indexed_seconds_t" + std::to_string(threads), seconds);
     json.field("speedup_t" + std::to_string(threads),

@@ -56,6 +56,18 @@ void BM_FragmentIonsInto(benchmark::State& state) {
 }
 BENCHMARK(BM_FragmentIonsInto)->Arg(8)->Arg(16)->Arg(32)->Complexity();
 
+// The fused ladder build every kernel calls (bench_kernel_ablation tracks
+// its ratio over the two-step path); Arg is the peptide length.
+void BM_PeptideLadder(benchmark::State& state) {
+  const std::string peptide(static_cast<std::size_t>(state.range(0)), 'A');
+  FragmentIonWorkspace workspace;
+  for (auto _ : state)
+    benchmark::DoNotOptimize(
+        build_peptide_ladder(peptide, kDefaultBinWidth, workspace));
+  state.SetComplexityN(state.range(0));
+}
+BENCHMARK(BM_PeptideLadder)->Arg(8)->Arg(16)->Arg(32)->Complexity();
+
 void BM_ScoreSharedPeak(benchmark::State& state) {
   const BinnedSpectrum binned(sample_spectrum());
   for (auto _ : state)

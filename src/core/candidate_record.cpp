@@ -52,13 +52,15 @@ std::vector<CandidateRecord> enumerate_candidate_records(
                     sizeof(CandidateRecord{}.peptide),
                 "candidate records cap peptide length at 63 residues");
   std::vector<CandidateRecord> records;
+  std::vector<double> sums;  // sums[k]: the first k residues' mass
   for (const Protein& protein : db.proteins) {
     const std::size_t len = protein.residues.size();
     if (len < config.min_candidate_length) continue;
-    const FragmentMassIndex index(protein.residues);
+    // FragmentMassIndex's sums and mass expressions: the same doubles.
+    residue_prefix_sums(protein.residues, sums);
     const std::size_t max_k = std::min(len, config.max_candidate_length);
     for (std::size_t k = config.min_candidate_length; k <= max_k; ++k) {
-      const double mass = index.prefix_mass(k);
+      const double mass = sums[k] + kWaterMass;
       if (mass > mass_ceil) break;
       if (mass < mass_floor) continue;
       records.push_back(make_record(protein, 0, static_cast<std::uint16_t>(k),
@@ -66,7 +68,7 @@ std::vector<CandidateRecord> enumerate_candidate_records(
     }
     for (std::size_t k = config.min_candidate_length; k <= max_k; ++k) {
       if (k == len) break;  // full sequence already counted as a prefix
-      const double mass = index.suffix_mass(k);
+      const double mass = sums[len] - sums[len - k] + kWaterMass;
       if (mass > mass_ceil) break;
       if (mass < mass_floor) continue;
       records.push_back(make_record(protein,

@@ -18,8 +18,7 @@ void MassWindowCandidateSource::collect(
     const Protein& protein = shard_.proteins[entry.protein];
     const std::string_view peptide =
         std::string_view(protein.residues).substr(entry.offset, entry.length);
-    build_ion_ladder(fragment_ions_into(peptide, ion_options_, workspace_),
-                     context.binned().bin_width(), workspace_.ladder);
+    build_peptide_ladder(peptide, context.binned().bin_width(), workspace_);
     ++stats.ions_built;
     const std::size_t votes =
         shared_peak_count(context.binned(), workspace_.ladder);

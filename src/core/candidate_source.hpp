@@ -81,7 +81,6 @@ class MassWindowCandidateSource final : public CandidateSource {
   const CandidateIndex& index_;
   std::size_t vote_gate_;
   FragmentIonWorkspace workspace_;
-  TheoreticalOptions ion_options_;
 };
 
 /// Indexed open search: accumulate votes by scanning the postings of the

@@ -154,7 +154,6 @@ CandidateStoreResult run_candidate_store(const sim::Runtime& runtime,
     std::uint64_t offered = 0;
     std::uint64_t fetches = 0;
     FragmentIonWorkspace workspace;
-    const TheoreticalOptions ion_options;
 
     for (std::size_t qi = 0; qi < block.count(); ++qi) {
       const double mass = prepared.masses[qi];
@@ -177,11 +176,9 @@ CandidateStoreResult run_candidate_store(const sim::Runtime& runtime,
           // Allocation-free scoring: the record's ions land in one reused
           // workspace (the store already paid generation at build time, so
           // only the comparison remainder is charged below).
-          build_ion_ladder(fragment_ions_into(peptide, ion_options, workspace),
-                           config.bin_width, workspace.ladder);
-          const double score =
-              engine.score_candidate(prepared.contexts[qi], peptide,
-                                     workspace.ladder);
+          const double score = engine.score_candidate(
+              prepared.contexts[qi], peptide,
+              build_peptide_ladder(peptide, config.bin_width, workspace));
           ++evaluated;
           comm.clock().charge_compute(eval_cost);
           if (score < config.score_cutoff) continue;

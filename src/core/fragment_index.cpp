@@ -72,40 +72,48 @@ FragmentIndex FragmentIndex::build(const ProteinDatabase& shard,
   out.candidate_count_ = index.size();
   if (index.empty()) return out;
 
-  // One (bin, ordinal) pair per *distinct* (candidate, bin) — the same
-  // first-hit-wins dedup the IonLadder applies — candidate-major so each
+  // The ladder bins of every entry — one per *distinct* (candidate, bin),
+  // the same first-hit-wins dedup the IonLadder applies — candidate-major
+  // in one exactly reserved array, with each entry's end offset, so each
   // bin's postings come out strictly ordinal-ascending under the stable
-  // counting sort below. Binning through build_ion_ladder (the exact ladder
-  // the kernels score) keeps index votes and the deduplicated
+  // counting scatter below. Binning through build_peptide_ladder (the exact
+  // ladder the kernels score) keeps index votes and the deduplicated
   // shared_peak_count in lockstep, integer-for-integer.
-  std::vector<std::pair<std::uint32_t, std::uint32_t>> pairs;
-  FragmentIonWorkspace workspace;
-  const TheoreticalOptions ion_options;
-  std::uint32_t max_bin = 0;
   const std::vector<IndexedCandidate>& entries = index.entries();
+  std::size_t ion_bound = 0;
+  for (const IndexedCandidate& entry : entries)
+    ion_bound += 2 * (static_cast<std::size_t>(entry.length) - 1);
+  std::vector<std::uint32_t> bins;
+  bins.reserve(ion_bound);
+  std::vector<std::uint64_t> ends(entries.size());
+  FragmentIonWorkspace workspace;
+  std::uint32_t max_bin = 0;
   for (std::size_t e = 0; e < entries.size(); ++e) {
     const IndexedCandidate& entry = entries[e];
     const Protein& protein = shard.proteins[entry.protein];
     const std::string_view peptide =
         std::string_view(protein.residues).substr(entry.offset, entry.length);
-    build_ion_ladder(fragment_ions_into(peptide, ion_options, workspace),
-                     bin_width, workspace.ladder);
-    for (std::size_t i = 0; i < workspace.ladder.size; ++i) {
-      const auto bin = static_cast<std::uint32_t>(workspace.ladder.bins[i]);
+    const IonLadder& ladder = build_peptide_ladder(peptide, bin_width,
+                                                   workspace);
+    for (std::size_t i = 0; i < ladder.size; ++i) {
+      const auto bin = static_cast<std::uint32_t>(ladder.bins[i]);
       max_bin = std::max(max_bin, bin);
-      pairs.emplace_back(bin, static_cast<std::uint32_t>(e));
+      bins.push_back(bin);
     }
+    ends[e] = bins.size();
   }
 
   out.starts_.assign(static_cast<std::size_t>(max_bin) + 2, 0);
-  for (const auto& [bin, ordinal] : pairs) ++out.starts_[bin + 1];
+  for (const std::uint32_t bin : bins) ++out.starts_[bin + 1];
   for (std::size_t b = 1; b < out.starts_.size(); ++b)
     out.starts_[b] += out.starts_[b - 1];
-  out.postings_.resize(pairs.size());
+  out.postings_.resize(bins.size());
   std::vector<std::uint64_t> cursor(out.starts_.begin(),
                                     out.starts_.end() - 1);
-  for (const auto& [bin, ordinal] : pairs)
-    out.postings_[cursor[bin]++] = ordinal;
+  std::size_t i = 0;
+  for (std::size_t e = 0; e < entries.size(); ++e)
+    for (; i < ends[e]; ++i)
+      out.postings_[cursor[bins[i]]++] = static_cast<std::uint32_t>(e);
   return out;
 }
 
@@ -184,8 +192,14 @@ FragmentIndex get_fragment_index(wire::Reader& reader) {
         throw IoError("fragment index: postings must be strictly "
                       "ordinal-ascending within a bin (a duplicate posting "
                       "is a duplicate-bin double vote)");
-  return FragmentIndex(params, candidates, std::move(starts),
-                       std::move(postings));
+  // Every CSR invariant validate_csr checks was rejected above with an
+  // IoError, so the decoded fields go in without a second pass.
+  FragmentIndex out;
+  out.params_ = params;
+  out.candidate_count_ = candidates;
+  out.starts_ = std::move(starts);
+  out.postings_ = std::move(postings);
+  return out;
 }
 
 }  // namespace msp

@@ -51,9 +51,10 @@ struct FragmentIndexParams {
 class FragmentIndex {
  public:
   FragmentIndex() = default;
-  /// From parsed wire fields; validates the CSR invariants (monotone
-  /// starts, ordinals in range) via the same checks get_fragment_index
-  /// applies. `starts` must have bin_count + 1 entries.
+  /// From unchecked fields; validates the CSR invariants (monotone
+  /// starts, ordinals in range, strictly ascending posting lists) that
+  /// get_fragment_index checks while decoding. `starts` must have
+  /// bin_count + 1 entries.
   FragmentIndex(FragmentIndexParams params, std::uint64_t candidate_count,
                 std::vector<std::uint64_t> starts,
                 std::vector<std::uint32_t> postings);
@@ -97,6 +98,10 @@ class FragmentIndex {
                          const FragmentIndex& b) = default;
 
  private:
+  // Decodes through the fields directly: it has already rejected every CSR
+  // violation the public constructor would check again.
+  friend FragmentIndex get_fragment_index(wire::Reader& reader);
+
   FragmentIndexParams params_;
   std::uint64_t candidate_count_ = 0;
   std::vector<std::uint64_t> starts_;    ///< CSR row starts, bin_count + 1

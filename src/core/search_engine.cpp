@@ -354,7 +354,6 @@ ShardSearchStats merge_join(const SearchEngine& engine,
         sorted.begin());
     std::size_t hi = lo;
     FragmentIonWorkspace workspace;
-    const TheoreticalOptions ion_options;  // same defaults as the string path
 
     for (std::size_t e = block_first; e < block_last; ++e) {
       const double mass = candidates[e].mass;
@@ -377,9 +376,7 @@ ShardSearchStats merge_join(const SearchEngine& engine,
         const std::uint32_t q = queries.order[pos];
         if (per_query) ++(*per_query)[q];
         if (!built) {
-          const std::vector<FragmentIon>& ions =
-              fragment_ions_into(candidate.peptide, ion_options, workspace);
-          build_ion_ladder(ions, config.bin_width, workspace.ladder);
+          build_peptide_ladder(candidate.peptide, config.bin_width, workspace);
           built = true;
           ++stats.ions_built;
         }
@@ -467,7 +464,6 @@ ShardSearchStats search_open(const SearchEngine& engine,
     const bool prebuilt = source.ions_prebuilt();
 
     FragmentIonWorkspace workspace;
-    const TheoreticalOptions ion_options;  // same defaults as every kernel
     std::vector<std::uint32_t> survivors;
 
     for (std::size_t k = first; k < last; ++k) {
@@ -494,9 +490,7 @@ ShardSearchStats search_open(const SearchEngine& engine,
 
       for (const std::uint32_t c : survivors) {
         const CandidateView candidate = view_of(shard, entries[c]);
-        const std::vector<FragmentIon>& ions =
-            fragment_ions_into(candidate.peptide, ion_options, workspace);
-        build_ion_ladder(ions, config.bin_width, workspace.ladder);
+        build_peptide_ladder(candidate.peptide, config.bin_width, workspace);
         // The exhaustive source already built (and charged) every inspected
         // candidate's ions; the indexed source only ever builds survivors'.
         if (!prebuilt) ++stats.ions_built;

@@ -20,6 +20,14 @@ constexpr std::array<double, 26> kMono = {
     /*V*/ 99.06841391,  /*W*/ 186.07931295, /*X*/ kInvalid,
     /*Y*/ 163.06332853, /*Z*/ kInvalid};
 
+// kMono indexed by byte value: every byte outside 'A'..'Z' is kInvalid too.
+constexpr std::array<double, 256> kMonoByByte = [] {
+  std::array<double, 256> table{};
+  table.fill(kInvalid);
+  for (std::size_t c = 'A'; c <= 'Z'; ++c) table[c] = kMono[c - 'A'];
+  return table;
+}();
+
 // Average residue masses (Da).
 constexpr std::array<double, 26> kAvg = {
     /*A*/ 71.0788,  /*B*/ kInvalid, /*C*/ 103.1388, /*D*/ 115.0886,
@@ -59,6 +67,25 @@ bool is_residue(char c) noexcept {
 double residue_mass(char c) {
   MSP_CHECK_MSG(is_residue(c), "not an amino-acid residue: '" << c << "'");
   return kMono[static_cast<std::size_t>(letter_slot(c))];
+}
+
+void residue_prefix_sums(std::string_view residues,
+                         std::vector<double>& sums) {
+  sums.resize(residues.size() + 1);
+  double* out = sums.data();
+  double running = 0.0;
+  out[0] = running;
+  bool valid = true;
+  for (std::size_t i = 0; i < residues.size(); ++i) {
+    const double mass =
+        kMonoByByte[static_cast<unsigned char>(residues[i])];
+    valid = valid && mass > 0.0;
+    running += mass;
+    out[i + 1] = running;
+  }
+  // Rare path: residue_mass throws the usual message at the first bad byte.
+  if (!valid)
+    for (const char c : residues) residue_mass(c);
 }
 
 double residue_mass_average(char c) {

@@ -9,6 +9,7 @@
 #include <array>
 #include <cstdint>
 #include <string_view>
+#include <vector>
 
 namespace msp {
 
@@ -25,6 +26,14 @@ bool is_residue(char c) noexcept;
 
 /// Monoisotopic residue mass in Da. Precondition: is_residue(c).
 double residue_mass(char c);
+
+/// Running monoisotopic residue-mass sums of `residues` into `sums` (resized
+/// to residues.size() + 1, reusing its buffer): sums[k] is the mass of the
+/// first k residues, added left to right — the exact doubles a loop over
+/// residue_mass produces. A 256-entry table indexed by the byte value does
+/// the lookups, so no byte can index out of bounds and the hot loop makes no
+/// call; any non-residue byte throws InvalidArgument, as residue_mass does.
+void residue_prefix_sums(std::string_view residues, std::vector<double>& sums);
 
 /// Average residue mass in Da (used by the average-mass search mode).
 double residue_mass_average(char c);

@@ -35,15 +35,17 @@ QueryContext::QueryContext(const Spectrum& spectrum, double bin_width,
     }
   }
   mean_intensity_ = occupied == 0 ? 1.0 : total / static_cast<double>(occupied);
+
+  const double p1 = model.detection_rate;
+  log_match_ = std::log(p1 / background_);
+  log_miss_ = std::log((1.0 - p1) / (1.0 - background_));
+  inverse_mean_intensity_ = 1.0 / mean_intensity_;
 }
 
 double likelihood_ratio(const QueryContext& query, const IonLadder& ladder) {
-  const LikelihoodModel& model = query.model();
-  const double p1 = model.detection_rate;
-  const double p0 = query.background_rate();
-  const double log_match = std::log(p1 / p0);
-  const double log_miss = std::log((1.0 - p1) / (1.0 - p0));
-  const double inv_mean = 1.0 / query.mean_intensity();
+  const double log_match = query.log_match();
+  const double log_miss = query.log_miss();
+  const double inv_mean = query.inverse_mean_intensity();
 
   // One Bernoulli trial per *distinct* ion bin: the blocked kernel returns
   // the matched bins' intensities in ascending-bin order (the canonical
@@ -72,12 +74,9 @@ double likelihood_ratio(const QueryContext& query, std::string_view peptide) {
 
 double likelihood_ratio_library(const QueryContext& query,
                                 const Spectrum& library_spectrum) {
-  const LikelihoodModel& model = query.model();
-  const double p1 = model.detection_rate;
-  const double p0 = query.background_rate();
-  const double log_match = std::log(p1 / p0);
-  const double log_miss = std::log((1.0 - p1) / (1.0 - p0));
-  const double inv_mean = 1.0 / query.mean_intensity();
+  const double log_match = query.log_match();
+  const double log_miss = query.log_miss();
+  const double inv_mean = query.inverse_mean_intensity();
 
   // Weight each expected peak by its consensus intensity (normalized to
   // mean 1 so library and model scores stay on one scale).

@@ -39,7 +39,9 @@ struct LikelihoodModel {
 };
 
 /// Per-query precomputation shared across all of its candidates: the binned
-/// form plus the background match probability p0 and mean bin intensity.
+/// form, the background match probability p0, the mean bin intensity, and
+/// the likelihood terms that depend only on them — computed once here
+/// instead of once per (query, candidate) pair.
 class QueryContext {
  public:
   explicit QueryContext(const Spectrum& spectrum,
@@ -51,6 +53,12 @@ class QueryContext {
   double mean_intensity() const { return mean_intensity_; }
   double parent_mass() const { return parent_mass_; }
   const LikelihoodModel& model() const { return model_; }
+  /// ln(p1 / p0): the log-likelihood term of one matched ion.
+  double log_match() const { return log_match_; }
+  /// ln((1 − p1) / (1 − p0)): the log-likelihood term of one missed ion.
+  double log_miss() const { return log_miss_; }
+  /// 1 / mean_intensity(), the intensity-evidence scale.
+  double inverse_mean_intensity() const { return inverse_mean_intensity_; }
 
   /// Build the Xcorr preprocessing (idempotent). The engine calls this in
   /// prepare() when its config runs ScoreModel::kXcorr, so every driver and
@@ -66,6 +74,9 @@ class QueryContext {
   LikelihoodModel model_;
   double background_ = 0.0;
   double mean_intensity_ = 0.0;
+  double log_match_ = 0.0;
+  double log_miss_ = 0.0;
+  double inverse_mean_intensity_ = 0.0;
   double parent_mass_ = 0.0;
   std::optional<XcorrContext> xcorr_;
 };

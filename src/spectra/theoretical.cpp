@@ -9,21 +9,33 @@
 
 namespace msp {
 
+namespace {
+
+/// The ladder grid: truncation of a positive mz / width is floor — the exact
+/// arithmetic BinnedSpectrum and FragmentIndex use — with bins beyond int32
+/// range clamped to INT32_MAX.
+std::int32_t ladder_bin(double mz, double bin_width) {
+  const double q = mz / bin_width;
+  return q >= static_cast<double>(std::numeric_limits<std::int32_t>::max())
+             ? std::numeric_limits<std::int32_t>::max()
+             : static_cast<std::int32_t>(q);
+}
+
+std::size_t padded_to_block(std::size_t n) {
+  return (n + kLadderBlock - 1) & ~(kLadderBlock - 1);
+}
+
+}  // namespace
+
 void build_ion_ladder(const std::vector<FragmentIon>& ions, double bin_width,
                       IonLadder& out) {
   MSP_CHECK_MSG(bin_width > 0.0, "ladder bin width must be positive");
   out.clear();
   out.total_ions = ions.size();
-  out.bins.reserve((ions.size() + kLadderBlock - 1) & ~(kLadderBlock - 1));
+  out.bins.reserve(padded_to_block(ions.size()));
   std::int32_t last_bin = kLadderPadBin;
   for (const FragmentIon& ion : ions) {
-    // The exact grid arithmetic BinnedSpectrum and FragmentIndex use:
-    // truncation of a positive mz / width is floor.
-    const double q = ion.mz / bin_width;
-    const std::int32_t bin =
-        q >= static_cast<double>(std::numeric_limits<std::int32_t>::max())
-            ? std::numeric_limits<std::int32_t>::max()
-            : static_cast<std::int32_t>(q);
+    const std::int32_t bin = ladder_bin(ion.mz, bin_width);
     // Ions are m/z-ascending, so same-bin duplicates are adjacent: the first
     // ion claims the bin (first-hit wins), later ones are the duplicate-bin
     // double count the kernel must not re-add.
@@ -41,6 +53,72 @@ void build_ion_ladder(const std::vector<FragmentIon>& ions, double bin_width,
   while (out.bins.size() % kLadderBlock != 0) out.bins.push_back(kLadderPadBin);
   while (out.y_mask.size() < out.bins.size() / kLadderBlock)
     out.y_mask.push_back(0);
+}
+
+const IonLadder& build_peptide_ladder(std::string_view peptide,
+                                      double bin_width,
+                                      FragmentIonWorkspace& workspace) {
+  MSP_CHECK_MSG(peptide.size() >= 2,
+                "cannot fragment a peptide shorter than 2");
+  MSP_CHECK_MSG(bin_width > 0.0, "ladder bin width must be positive");
+  residue_prefix_sums(peptide, workspace.prefix);
+  const double* prefix = workspace.prefix.data();
+  const std::size_t n = peptide.size();
+  const double total = prefix[n];
+
+  // Size both buffers for every ion up front (2(n − 1), padded), then write
+  // through raw pointers and trim to the deduplicated, padded size.
+  IonLadder& out = workspace.ladder;
+  const std::size_t ions = 2 * (n - 1);
+  out.bins.resize(padded_to_block(ions));
+  out.y_mask.assign(out.bins.size() / kLadderBlock, 0);
+  std::int32_t* bins = out.bins.data();
+  std::uint8_t* y_mask = out.y_mask.data();
+  std::size_t size = 0;
+  std::int32_t last_bin = kLadderPadBin;
+  // build_ion_ladder's loop body over the merged stream: first hit wins.
+  const auto emit = [&](double mz, bool is_y) {
+    const std::int32_t bin = ladder_bin(mz, bin_width);
+    if (bin == last_bin) return;
+    last_bin = bin;
+    if (is_y)
+      y_mask[size / kLadderBlock] |=
+          static_cast<std::uint8_t>(1u << (size % kLadderBlock));
+    bins[size++] = bin;
+  };
+  // fragment_ions_into's default-path merge on the same doubles:
+  // mz_from_mass(m, 1) is (m + 1 · kProtonMass) / 1, bit-equal to
+  // m + kProtonMass, and the y mass keeps its (total − prefix) + water
+  // order. Ties take the b ion first.
+  const auto b_mz = [prefix](std::size_t cut) {
+    return prefix[cut] + kProtonMass;
+  };
+  const auto y_mz = [prefix, total](std::size_t cut) {
+    return total - prefix[cut] + kWaterMass + kProtonMass;
+  };
+  std::size_t bcut = 1;
+  std::size_t ycut = n - 1;
+  double b = b_mz(bcut);
+  double y = y_mz(ycut);
+  while (bcut < n && ycut >= 1) {
+    if (b <= y) {
+      emit(b, false);
+      if (++bcut < n) b = b_mz(bcut);
+    } else {
+      emit(y, true);
+      if (--ycut >= 1) y = y_mz(ycut);
+    }
+  }
+  for (; bcut < n; ++bcut) emit(b_mz(bcut), false);
+  for (; ycut >= 1; --ycut) emit(y_mz(ycut), true);
+
+  const std::size_t padded = padded_to_block(size);
+  std::fill(bins + size, bins + padded, kLadderPadBin);
+  out.bins.resize(padded);
+  out.y_mask.resize(padded / kLadderBlock);
+  out.size = size;
+  out.total_ions = ions;
+  return out;
 }
 
 const std::vector<FragmentIon>& fragment_ions_into(

@@ -82,6 +82,22 @@ struct FragmentIonWorkspace {
   IonLadder ladder;              ///< SoA bin form for the blocked kernel
 };
 
+/// Build the IonLadder of `peptide` under the default TheoreticalOptions
+/// (singly-charged b and y ions, no site deltas) on the
+/// floor(mz / bin_width) grid into `workspace.ladder`, and return it. The
+/// result — bins, y_mask, size and total_ions — equals
+/// build_ion_ladder(fragment_ions_into(peptide, {}, workspace), bin_width,
+/// ladder), but it is built in one pass: residue-table prefix sums, the b/y
+/// two-pointer merge on the identical m/z doubles, and binning with the
+/// first-hit dedup straight into the ladder's buffers, with no FragmentIon
+/// vector in between. Every kernel builds its ladders here; the two-step
+/// path stays behind the reference kernel so the oracle is independent of
+/// this builder. Throws InvalidArgument for a peptide shorter than 2, a
+/// non-residue byte or a non-positive bin width.
+const IonLadder& build_peptide_ladder(std::string_view peptide,
+                                      double bin_width,
+                                      FragmentIonWorkspace& workspace);
+
 /// Enumerate the fragment ions of `peptide` into `workspace.ions` (sorted by
 /// m/z, identical content and order to fragment_ions — scores computed from
 /// either are bit-identical). Returns the filled ion vector.

@@ -262,6 +262,80 @@ TEST(ClippedIndex, DropsOnlyCandidatesNoHypothesisWindows) {
   }
 }
 
+// The bucketed build must give the comparator sort's exact entry order.
+// The shard is built for ties: I/L-swapped copies tie every candidate mass
+// across proteins bit for bit, and reversed and rotated copies (the same
+// composition) plus palindromes put prefix/suffix candidates of one
+// protein at or near equal masses.
+TEST(CandidateIndex, BuildOrderMatchesComparatorSort) {
+  ProteinDatabase shard = workload().db;
+  const std::size_t originals = shard.proteins.size();
+  for (std::size_t i = 0; i < originals; ++i) {
+    const Protein& source = shard.proteins[i];
+    Protein swapped{source.id + "_il", source.residues};
+    for (char& c : swapped.residues)
+      c = c == 'I' ? 'L' : c == 'L' ? 'I' : c;
+    Protein reversed{source.id + "_rev", source.residues};
+    std::reverse(reversed.residues.begin(), reversed.residues.end());
+    Protein rotated{source.id + "_rot", source.residues};
+    std::rotate(rotated.residues.begin(), rotated.residues.begin() + 7,
+                rotated.residues.end());
+    shard.proteins.push_back(std::move(swapped));
+    shard.proteins.push_back(std::move(reversed));
+    shard.proteins.push_back(std::move(rotated));
+  }
+  for (const std::string half : {"PEPTIDEK", "GGGGGGGG", "ACDKRLIL"}) {
+    const std::string palindrome =
+        half + std::string(half.rbegin(), half.rend());
+    shard.proteins.push_back({"pal_" + half, palindrome});
+  }
+
+  const auto comparator_less = [](const IndexedCandidate& a,
+                                  const IndexedCandidate& b) {
+    if (a.mass != b.mass) return a.mass < b.mass;
+    if (a.protein != b.protein) return a.protein < b.protein;
+    if (a.offset != b.offset) return a.offset < b.offset;
+    return a.length < b.length;
+  };
+  SearchConfig tryptic = narrow_config();
+  tryptic.candidate_mode = CandidateMode::kTryptic;
+  tryptic.candidate_missed_cleavages = 2;
+  for (const SearchConfig& config : {narrow_config(), tryptic}) {
+    for (const bool clip : {false, true}) {
+      const std::string label =
+          std::string(config.candidate_mode == CandidateMode::kTryptic
+                          ? "tryptic"
+                          : "prefix-suffix") +
+          (clip ? " clipped" : " unclipped");
+      const CandidateIndex index =
+          clip ? CandidateIndex::build(shard, config, query_envelope(config))
+               : CandidateIndex::build(shard, config);
+      std::vector<IndexedCandidate> want = index.entries();
+      std::sort(want.begin(), want.end(), comparator_less);
+      const std::vector<IndexedCandidate>& got = index.entries();
+      ASSERT_EQ(got.size(), want.size()) << label;
+      std::size_t cross_protein_ties = 0;
+      std::size_t same_protein_ties = 0;
+      for (std::size_t i = 0; i < want.size(); ++i) {
+        ASSERT_TRUE(got[i].mass == want[i].mass &&
+                    got[i].protein == want[i].protein &&
+                    got[i].offset == want[i].offset &&
+                    got[i].length == want[i].length &&
+                    got[i].end == want[i].end)
+            << label << " entry " << i;
+        if (i > 0 && want[i].mass == want[i - 1].mass &&
+            want[i].protein != want[i - 1].protein)
+          ++cross_protein_ties;
+        if (i > 0 && want[i].mass == want[i - 1].mass &&
+            want[i].protein == want[i - 1].protein)
+          ++same_protein_ties;
+      }
+      EXPECT_GT(cross_protein_ties, 0u) << label;
+      EXPECT_GT(same_protein_ties, 0u) << label;
+    }
+  }
+}
+
 TEST(ClippedIndex, WireRecordCarriesTheEnvelope) {
   const Workload& w = workload();
   SearchConfig config = narrow_config();

@@ -3,8 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-
+#include <cstdint>
+#include <limits>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "mass/amino_acid.hpp"
 #include "spectra/generator.hpp"
@@ -143,6 +146,53 @@ TEST(Theoretical, RejectsBadInput) {
   TheoreticalOptions options;
   options.site_deltas = {1.0};
   EXPECT_THROW(fragment_ions("ACD", options), InvalidArgument);
+}
+
+// The fused builder every kernel uses must produce the two-step path's
+// ladder field for field: random peptides over all 20 residues (I and L
+// are isobaric, so b/y ties and same-bin duplicates occur), on the default
+// grid, a fine grid, a 50 Da grid where most ions share a bin, and a grid
+// fine enough that heavy ions hit the INT32_MAX clamp.
+TEST(Ladder, FusedBuilderMatchesTwoStep) {
+  Xoshiro256 rng(2020);
+  std::vector<std::string> peptides = {"GA", "IL", "LI", "WW",
+                                       std::string(kResidueAlphabet)};
+  for (int i = 0; i < 400; ++i) {
+    std::string peptide(2 + rng.bounded(62), 'A');
+    for (char& c : peptide)
+      c = kResidueAlphabet[rng.bounded(kResidueAlphabet.size())];
+    peptides.push_back(std::move(peptide));
+  }
+  std::size_t clamped = 0;
+  std::size_t deduplicated = 0;
+  FragmentIonWorkspace two_step;
+  FragmentIonWorkspace fused;
+  for (const double width : {kDefaultBinWidth, 0.01, 50.0, 1e-6}) {
+    for (const std::string& peptide : peptides) {
+      build_ion_ladder(fragment_ions_into(peptide, {}, two_step), width,
+                       two_step.ladder);
+      const IonLadder& got = build_peptide_ladder(peptide, width, fused);
+      const IonLadder& want = two_step.ladder;
+      ASSERT_EQ(got.bins, want.bins) << peptide << " @ " << width;
+      ASSERT_EQ(got.y_mask, want.y_mask) << peptide << " @ " << width;
+      ASSERT_EQ(got.size, want.size) << peptide << " @ " << width;
+      ASSERT_EQ(got.total_ions, want.total_ions) << peptide << " @ " << width;
+      clamped += std::count(got.bins.begin(), got.bins.end(),
+                            std::numeric_limits<std::int32_t>::max());
+      deduplicated += got.total_ions - got.size;
+    }
+  }
+  EXPECT_GT(clamped, 0u) << "no ladder reached the INT32_MAX clamp";
+  EXPECT_GT(deduplicated, 0u) << "no ladder deduplicated a bin";
+
+  // The builder rejects what fragment_ions_into rejects.
+  const std::string bad[] = {"AX", std::string("A\0C", 3), "A\xFF", "xA"};
+  for (const std::string& peptide : bad)
+    EXPECT_THROW(build_peptide_ladder(peptide, kDefaultBinWidth, fused),
+                 InvalidArgument);
+  EXPECT_THROW(build_peptide_ladder("A", kDefaultBinWidth, fused),
+               InvalidArgument);
+  EXPECT_THROW(build_peptide_ladder("AC", 0.0, fused), InvalidArgument);
 }
 
 TEST(Theoretical, ModelSpectrumWeightsYOverB) {
