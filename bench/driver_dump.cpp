@@ -124,13 +124,9 @@ void dump_batch_drivers(const Fixture& f) {
       run_algorithm_hybrid(traced(4), f.image, f.queries, f.config, hybrid);
   dump("hybrid p=4 g=2", h.report, h.hits);
 
-  for (const bool mask : {true, false}) {
-    AlgorithmBOptions options;
-    options.mask = mask;
-    const AlgorithmBResult b =
-        run_algorithm_b(traced(4), f.image, f.queries, f.config, options);
-    dump("B p=4 mask=" + on_off(mask), b.report, b.hits);
-  }
+  const AlgorithmBResult b =
+      run_algorithm_b(traced(4), f.image, f.queries, f.config);
+  dump("B p=4 mask=on", b.report, b.hits);
 
   const ParallelRunResult qt =
       run_query_transport(traced(4), f.image, f.queries, f.config);

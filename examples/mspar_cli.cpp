@@ -167,7 +167,7 @@ int run_search(int argc, const char* const* argv) {
   msp::Cli cli("mspar_cli search",
                "parallel peptide identification (ICPP'09 repro)");
   add_input_options(cli);
-  cli.add_string("algorithm", "a", "serial|a|b|master-worker|query");
+  cli.add_string("algorithm", "a", "serial|a|b|hybrid|master-worker|query");
   cli.add_int("p", 8, "simulated processor count");
   cli.add_string("candidates", "prefix-suffix", "prefix-suffix|tryptic");
   if (!cli.parse(argc, argv)) return 0;

@@ -32,8 +32,7 @@ int lowest_useful_rank(const std::vector<MzBoundary>& boundaries,
 AlgorithmBResult run_algorithm_b(const sim::Runtime& runtime,
                                  const std::string& fasta_image,
                                  const std::vector<Spectrum>& queries,
-                                 const SearchConfig& config,
-                                 const AlgorithmBOptions& options) {
+                                 const SearchConfig& config) {
   if (runtime.faults().has_crashes())
     throw FaultUnrecoverable(
         "algorithm B: the sorted shards have no replica to recover a "
@@ -109,22 +108,22 @@ AlgorithmBResult run_algorithm_b(const sim::Runtime& runtime,
       const int current = shard_at(t);
       const int next = shard_at(t + 1);
 
-      if (options.mask && next >= 0) window.prefetch(next, t);
+      if (next >= 0) window.prefetch(next, t);
 
       if (current == rank) {
         // Own shard: search the sorted copy and its index in place.
         detail::search_resident(comm, engine, sorted.shard, local, prepared,
                                 tops);
       } else if (current >= 0) {
-        // The first remote shard (or every one, unmasked) is fetched
-        // blocking; later ones were prefetched under the previous step.
+        // The first remote shard is fetched blocking; later ones were
+        // prefetched under the previous step.
         const PackedShard fetched = unpack_shard(window.resident(current, t));
         detail::search_resident(comm, engine, fetched.db, fetched.indexes,
                                 prepared, tops);
       }
 
       window.settle();
-      if (options.fence_per_iteration) window.fence();
+      window.fence();
     }
     // Window close is collective (MPI_Win_free semantics).
     window.fence();

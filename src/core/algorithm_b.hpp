@@ -21,22 +21,17 @@
 
 namespace msp {
 
-struct AlgorithmBOptions {
-  bool mask = true;
-  bool fence_per_iteration = true;
-};
-
 struct AlgorithmBResult : ParallelRunResult {
   double max_sort_seconds = 0.0;   ///< Table IV's "Sorting time" column
   double mean_shards_visited = 0.0;  ///< sender-group size actually used
 };
 
-/// Crash schedules are rejected up front (FaultUnrecoverable): the sorted
-/// shards have no replica to recover from.
+/// The restricted ring always masks each fetch behind the previous step's
+/// scoring and fences every step. Crash schedules are rejected up front
+/// (FaultUnrecoverable): the sorted shards have no replica to recover from.
 AlgorithmBResult run_algorithm_b(const sim::Runtime& runtime,
                                  const std::string& fasta_image,
                                  const std::vector<Spectrum>& queries,
-                                 const SearchConfig& config,
-                                 const AlgorithmBOptions& options = {});
+                                 const SearchConfig& config);
 
 }  // namespace msp

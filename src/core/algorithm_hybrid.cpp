@@ -29,9 +29,7 @@ HybridResult run_algorithm_hybrid(const sim::Runtime& runtime,
   const int group_size = p / groups;
   const SearchEngine engine(config);
 
-  AlgorithmAOptions ring_options;
-  ring_options.mask = options.mask;
-  ring_options.fence_per_iteration = options.fence_per_iteration;
+  const AlgorithmAOptions ring_options;
 
   QueryHits all_hits(queries.size());
 

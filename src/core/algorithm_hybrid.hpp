@@ -12,6 +12,8 @@
 //     fewer fenced iterations (less latency/sync, better masking);
 //   * g = 1 degenerates to Algorithm A; g = p degenerates to the
 //     master–worker baseline's memory profile (replicated database).
+// Each sub-ring runs Algorithm A with its default options (masked
+// prefetch, a fence every step, mass routing); g is the only setting.
 // The bench sweep over g exposes the memory/run-time trade-off the paper
 // anticipated.
 #pragma once
@@ -30,8 +32,6 @@ struct HybridOptions {
   /// Number of sub-groups g; must divide p. 0 = auto (√p rounded to a
   /// divisor, balancing ring length against replication).
   int groups = 0;
-  bool mask = true;
-  bool fence_per_iteration = true;
 };
 
 struct HybridResult : ParallelRunResult {

@@ -22,45 +22,7 @@ constexpr std::uint64_t kFragmentIndexMagic = 0x4D53504152465247ull;
 // duplicate postings and are rejected by the shared version check.
 constexpr std::uint32_t kFragmentIndexVersion = 2;
 
-void validate_csr(const FragmentIndexParams& params,
-                  std::uint64_t candidate_count,
-                  const std::vector<std::uint64_t>& starts,
-                  const std::vector<std::uint32_t>& postings) {
-  MSP_CHECK_MSG(params.bin_width > 0.0 && std::isfinite(params.bin_width),
-                "fragment index bin width must be positive and finite");
-  MSP_CHECK_MSG(starts.empty() || starts.front() == 0,
-                "fragment index CSR must start at zero");
-  MSP_CHECK_MSG(starts.empty() ? postings.empty()
-                               : starts.back() == postings.size(),
-                "fragment index CSR extent must match posting count");
-  for (std::size_t b = 1; b < starts.size(); ++b)
-    MSP_CHECK_MSG(starts[b - 1] <= starts[b],
-                  "fragment index CSR starts must be non-decreasing");
-  for (std::size_t b = 1; b < starts.size(); ++b)
-    for (std::size_t i = starts[b - 1]; i < starts[b]; ++i) {
-      MSP_CHECK_MSG(postings[i] < candidate_count,
-                    "fragment index posting outside the candidate range");
-      // Strictly ascending: a duplicate posting would make a candidate vote
-      // twice for one bin — the duplicate-bin double count the deduplicated
-      // shared-peak semantics forbid.
-      MSP_CHECK_MSG(i == starts[b - 1] || postings[i - 1] < postings[i],
-                    "fragment index postings must be strictly "
-                    "ordinal-ascending within a bin");
-    }
-}
-
 }  // namespace
-
-FragmentIndex::FragmentIndex(FragmentIndexParams params,
-                             std::uint64_t candidate_count,
-                             std::vector<std::uint64_t> starts,
-                             std::vector<std::uint32_t> postings)
-    : params_(params),
-      candidate_count_(candidate_count),
-      starts_(std::move(starts)),
-      postings_(std::move(postings)) {
-  validate_csr(params_, candidate_count_, starts_, postings_);
-}
 
 FragmentIndex FragmentIndex::build(const ProteinDatabase& shard,
                                    const CandidateIndex& index,
@@ -192,8 +154,6 @@ FragmentIndex get_fragment_index(wire::Reader& reader) {
         throw IoError("fragment index: postings must be strictly "
                       "ordinal-ascending within a bin (a duplicate posting "
                       "is a duplicate-bin double vote)");
-  // Every CSR invariant validate_csr checks was rejected above with an
-  // IoError, so the decoded fields go in without a second pass.
   FragmentIndex out;
   out.params_ = params;
   out.candidate_count_ = candidates;

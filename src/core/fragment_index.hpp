@@ -51,13 +51,6 @@ struct FragmentIndexParams {
 class FragmentIndex {
  public:
   FragmentIndex() = default;
-  /// From unchecked fields; validates the CSR invariants (monotone
-  /// starts, ordinals in range, strictly ascending posting lists) that
-  /// get_fragment_index checks while decoding. `starts` must have
-  /// bin_count + 1 entries.
-  FragmentIndex(FragmentIndexParams params, std::uint64_t candidate_count,
-                std::vector<std::uint64_t> starts,
-                std::vector<std::uint32_t> postings);
 
   /// Build from a shard and its CandidateIndex: every entry's theoretical
   /// ions (default TheoreticalOptions — the exact ladder the kernels score)
@@ -98,8 +91,8 @@ class FragmentIndex {
                          const FragmentIndex& b) = default;
 
  private:
-  // Decodes through the fields directly: it has already rejected every CSR
-  // violation the public constructor would check again.
+  // The one way to build an index from outside input: it rejects every CSR
+  // violation before filling the fields.
   friend FragmentIndex get_fragment_index(wire::Reader& reader);
 
   FragmentIndexParams params_;

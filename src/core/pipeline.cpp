@@ -8,8 +8,10 @@ namespace msp {
 
 Algorithm algorithm_from_name(const std::string& name) {
   if (name == "serial") return Algorithm::kSerial;
-  if (name == "a" || name == "A") return Algorithm::kAlgorithmA;
-  if (name == "b" || name == "B") return Algorithm::kAlgorithmB;
+  if (name == "a" || name == "A" || name == "algorithm-a")
+    return Algorithm::kAlgorithmA;
+  if (name == "b" || name == "B" || name == "algorithm-b")
+    return Algorithm::kAlgorithmB;
   if (name == "hybrid") return Algorithm::kHybrid;
   if (name == "master-worker" || name == "mw") return Algorithm::kMasterWorker;
   if (name == "query" || name == "query-transport")
@@ -55,8 +57,7 @@ PipelineResult run_pipeline(const std::string& fasta_image,
                             options.a);
       break;
     case Algorithm::kAlgorithmB:
-      run = run_algorithm_b(runtime, fasta_image, queries, options.config,
-                            options.b);
+      run = run_algorithm_b(runtime, fasta_image, queries, options.config);
       break;
     case Algorithm::kHybrid:
       run = run_algorithm_hybrid(runtime, fasta_image, queries, options.config,
@@ -67,8 +68,7 @@ PipelineResult run_pipeline(const std::string& fasta_image,
                               options.master_worker);
       break;
     case Algorithm::kQueryTransport:
-      run = run_query_transport(runtime, fasta_image, queries, options.config,
-                                options.query_transport);
+      run = run_query_transport(runtime, fasta_image, queries, options.config);
       break;
     case Algorithm::kSerial:
       break;  // handled above

@@ -27,7 +27,8 @@ enum class Algorithm {
   kQueryTransport,  ///< rejected-design ablation
 };
 
-/// Parse an algorithm name ("serial", "a", "b", "master-worker", "query").
+/// Parse an algorithm name: "serial", "a", "b", "hybrid", "master-worker",
+/// "query", or any name algorithm_name prints.
 Algorithm algorithm_from_name(const std::string& name);
 const char* algorithm_name(Algorithm algorithm);
 
@@ -36,10 +37,8 @@ struct PipelineOptions {
   int p = 8;
   SearchConfig config;
   AlgorithmAOptions a;
-  AlgorithmBOptions b;
   HybridOptions hybrid;
   MasterWorkerOptions master_worker;
-  QueryTransportOptions query_transport;
   sim::NetworkModel network;
   sim::ComputeModel compute;
   /// Deterministic fault schedule for the simulated run (default: none).

@@ -15,8 +15,7 @@ namespace msp {
 ParallelRunResult run_query_transport(const sim::Runtime& runtime,
                                       const std::string& fasta_image,
                                       const std::vector<Spectrum>& queries,
-                                      const SearchConfig& config,
-                                      const QueryTransportOptions& options) {
+                                      const SearchConfig& config) {
   if (runtime.faults().has_crashes())
     throw FaultUnrecoverable(
         "query transport: a rank's static shard has no replica to recover "
@@ -76,7 +75,7 @@ ParallelRunResult run_query_transport(const sim::Runtime& runtime,
       std::vector<TopK<Hit>> tops = engine.make_tops(batch.size());
       detail::search_resident(comm, engine, local_db, local, prepared, tops);
       partial[static_cast<std::size_t>(j)] = engine.finalize(tops);
-      if (options.fence_per_iteration) window.fence();
+      window.fence();
     }
     // Window close is collective (MPI_Win_free semantics).
     window.fence();

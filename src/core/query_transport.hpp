@@ -21,15 +21,12 @@
 
 namespace msp {
 
-struct QueryTransportOptions {
-  bool fence_per_iteration = true;
-};
-
-/// Crash schedules are rejected up front (FaultUnrecoverable): a rank's
-/// static shard has no replica to recover from.
-ParallelRunResult run_query_transport(
-    const sim::Runtime& runtime, const std::string& fasta_image,
-    const std::vector<Spectrum>& queries, const SearchConfig& config,
-    const QueryTransportOptions& options = {});
+/// Every query-block rotation step is fenced. Crash schedules are rejected
+/// up front (FaultUnrecoverable): a rank's static shard has no replica to
+/// recover it from.
+ParallelRunResult run_query_transport(const sim::Runtime& runtime,
+                                      const std::string& fasta_image,
+                                      const std::vector<Spectrum>& queries,
+                                      const SearchConfig& config);
 
 }  // namespace msp

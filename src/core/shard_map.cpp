@@ -18,18 +18,25 @@ constexpr std::uint32_t kHistogramVersion = 1;
 
 }  // namespace
 
-namespace {
+MassHistogram MassHistogram::build(const CandidateIndex& index, double width) {
+  const std::vector<IndexedCandidate>& entries = index.entries();
+  std::vector<double> masses;
+  masses.reserve(entries.size());
+  for (const IndexedCandidate& entry : entries) masses.push_back(entry.mass);
+  return build(std::span<const double>(masses), width);
+}
 
-/// Shared accumulation loop over a mass-ascending sequence: buckets come
-/// out index-ascending in one pass, the grid extent fixed by the extremes.
-MassHistogram build_from_sorted_masses(double front_mass, double back_mass,
-                                       std::span<const double> masses,
-                                       double width) {
+MassHistogram MassHistogram::build(std::span<const double> masses,
+                                   double width) {
+  MSP_CHECK_MSG(width > 0.0 && std::isfinite(width),
+                "histogram bucket width must be positive and finite");
+  // One pass over a mass-ascending sequence: buckets come out
+  // index-ascending, the grid extent fixed by the extremes.
   MassHistogram histogram;
   histogram.bucket_width = width;
   if (masses.empty()) return histogram;
-  histogram.min_mass = front_mass;
-  const double span = back_mass - histogram.min_mass;
+  histogram.min_mass = masses.front();
+  const double span = masses.back() - histogram.min_mass;
   histogram.bucket_count = static_cast<std::uint64_t>(span / width) + 1;
   for (const double mass : masses) {
     const auto bucket = static_cast<std::uint32_t>(
@@ -50,37 +57,6 @@ MassHistogram build_from_sorted_masses(double front_mass, double back_mass,
     }
   }
   return histogram;
-}
-
-}  // namespace
-
-MassHistogram MassHistogram::build(const CandidateIndex& index, double width) {
-  MSP_CHECK_MSG(width > 0.0 && std::isfinite(width),
-                "histogram bucket width must be positive and finite");
-  const std::vector<IndexedCandidate>& entries = index.entries();
-  std::vector<double> masses;
-  masses.reserve(entries.size());
-  for (const IndexedCandidate& entry : entries) masses.push_back(entry.mass);
-  if (masses.empty()) {
-    MassHistogram histogram;
-    histogram.bucket_width = width;
-    return histogram;
-  }
-  return build_from_sorted_masses(masses.front(), masses.back(), masses,
-                                  width);
-}
-
-MassHistogram MassHistogram::build(std::span<const double> masses,
-                                   double width) {
-  MSP_CHECK_MSG(width > 0.0 && std::isfinite(width),
-                "histogram bucket width must be positive and finite");
-  if (masses.empty()) {
-    MassHistogram histogram;
-    histogram.bucket_width = width;
-    return histogram;
-  }
-  return build_from_sorted_masses(masses.front(), masses.back(), masses,
-                                  width);
 }
 
 std::uint64_t MassHistogram::total() const {

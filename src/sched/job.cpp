@@ -1,23 +1,13 @@
 #include "sched/job.hpp"
 
-#include "util/error.hpp"
-
 namespace msp::sched {
 
 const char* job_kind_name(JobKind kind) {
   switch (kind) {
     case JobKind::kBatch: return "batch";
     case JobKind::kServe: return "serve";
-    case JobKind::kPack: return "pack";
   }
   return "?";
-}
-
-JobKind job_kind_from_name(const std::string& name) {
-  if (name == "batch") return JobKind::kBatch;
-  if (name == "serve") return JobKind::kServe;
-  if (name == "pack") return JobKind::kPack;
-  throw InvalidArgument("unknown job kind: " + name);
 }
 
 const char* priority_name(Priority priority) {
@@ -27,13 +17,6 @@ const char* priority_name(Priority priority) {
     case Priority::kHigh: return "high";
   }
   return "?";
-}
-
-Priority priority_from_name(const std::string& name) {
-  if (name == "low") return Priority::kLow;
-  if (name == "normal") return Priority::kNormal;
-  if (name == "high") return Priority::kHigh;
-  throw InvalidArgument("unknown priority: " + name);
 }
 
 }  // namespace msp::sched

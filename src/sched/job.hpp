@@ -1,14 +1,13 @@
 // Job model for the multi-tenant cluster scheduler (DESIGN.md §5l).
 //
 // A *job* is the scheduler's unit of admission: a batch search over a slice
-// of the global query stream, an online serve session with its own arrival
-// process, or a pack/index build. Jobs carry a tenant identity (QOS and
-// accounting are per tenant, Slurm-style) and a priority class; the
-// scheduler controller decides — only at fence-aligned boundaries, from
-// globally known schedules — when each job's work enters the shared
-// serving ring. Specs are plain data replicated to every rank, which is
-// what lets the per-rank controllers agree on every decision without a
-// single control message.
+// of the global query stream, or an online serve session with its own
+// arrival process. Jobs carry a tenant identity (QOS and accounting are
+// per tenant, Slurm-style) and a priority class; the scheduler controller
+// decides — only at fence-aligned boundaries, from globally known
+// schedules — when each job's work enters the shared serving ring. Specs
+// are plain data replicated to every rank, which is what lets the per-rank
+// controllers agree on every decision without a single control message.
 #pragma once
 
 #include <cstddef>
@@ -26,20 +25,17 @@ enum class JobKind {
   kBatch,  ///< offline search over a query range (any Algorithm A/B/... —
            ///< executed as ring flights, hit-identical to every driver)
   kServe,  ///< latency-sensitive serve session with its own arrival model
-  kPack,   ///< pack/index build: deterministic compute+io slices, no queries
 };
 
+/// "batch" | "serve" (trace labels).
 const char* job_kind_name(JobKind kind);
-/// "batch" | "serve" | "pack"; throws InvalidArgument otherwise.
-JobKind job_kind_from_name(const std::string& name);
 
 /// Priority classes, higher wins. Preemption only ever victimizes *batch*
 /// work of a class strictly below the dispatching serve job's class.
 enum class Priority : std::uint8_t { kLow = 0, kNormal = 1, kHigh = 2 };
 
+/// "low" | "normal" | "high" (trace labels).
 const char* priority_name(Priority priority);
-/// "low" | "normal" | "high"; throws InvalidArgument otherwise.
-Priority priority_from_name(const std::string& name);
 
 /// One tenant of the cluster: fair-share weight plus hard QOS limits.
 struct TenantSpec {
@@ -53,17 +49,16 @@ struct TenantSpec {
   std::size_t max_inflight_queries = 0;
 };
 
-/// One job submitted to the cluster. Query-backed kinds own the half-open
-/// range [query_begin, query_end) of the global stream; ranges of distinct
-/// jobs must not overlap (each query has exactly one owner).
+/// One job submitted to the cluster. It owns the half-open range
+/// [query_begin, query_end) of the global stream; ranges of distinct jobs
+/// must not overlap (each query has exactly one owner).
 struct JobSpec {
   std::string name;
   std::string tenant;  ///< must match a TenantSpec::name
   JobKind kind = JobKind::kBatch;
   Priority priority = Priority::kNormal;
-  /// Virtual submission time; < 0 means "taken from the scheduler's job
-  /// arrival model" (SchedOptions::job_arrivals).
-  double submit_s = -1.0;
+  /// Virtual submission time (finite, >= 0).
+  double submit_s = 0.0;
   std::size_t query_begin = 0;
   std::size_t query_end = 0;
   /// kServe: this session's arrival process (times relative to submit_s),
@@ -73,11 +68,6 @@ struct JobSpec {
   serve::BatchPolicy batch;
   serve::AdmissionPolicy admission;
   serve::DispatchMode mode = serve::DispatchMode::kMultiBatchRing;
-  /// kPack: deterministic build slices (each charges compute+io on every
-  /// rank, then fences). Progress needs pack_slices boundary gaps.
-  std::size_t pack_slices = 0;
-  double pack_slice_compute_s = 0.01;
-  double pack_slice_io_s = 0.002;
 
   std::size_t query_count() const { return query_end - query_begin; }
 };

@@ -22,7 +22,6 @@ constexpr double kNever = std::numeric_limits<double>::infinity();
 struct JobRt {
   const JobSpec* spec = nullptr;
   std::size_t tenant = 0;
-  double submit_s = 0.0;
   bool submitted = false;
   bool completed = false;
   double start_s = -1.0;
@@ -41,8 +40,6 @@ struct JobRt {
   std::deque<std::size_t> waiting;  ///< kDelay backpressure queue
   std::deque<std::size_t> orphans;  ///< crash orphans awaiting re-admission
   std::deque<std::vector<std::size_t>> ready;  ///< closed, undispatched
-  // kPack:
-  std::size_t pack_done = 0;
 
   bool live() const { return submitted && !completed; }
 };
@@ -62,13 +59,12 @@ struct FlightRec {
 class SchedController {
  public:
   SchedController(sim::Comm& comm, const SchedOptions& options,
-                  const std::vector<double>& submits,
                   const std::vector<std::vector<double>>& serve_arrivals,
                   std::size_t query_count)
       : comm_(comm),
         options_(options),
         serve_arrivals_(serve_arrivals),
-        ledger_(options.tenants, options.fairshare_halflife_s),
+        ledger_(options.tenants),
         outcomes_(query_count),
         step_estimate_s_(options.step_estimate_init_s) {
     jobs_.resize(options_.jobs.size());
@@ -76,7 +72,6 @@ class SchedController {
       JobRt& job = jobs_[j];
       job.spec = &options_.jobs[j];
       job.tenant = ledger_.index_of(job.spec->tenant);
-      job.submit_s = submits[j];
     }
   }
 
@@ -87,7 +82,7 @@ class SchedController {
     ledger_.advance(now);
     for (std::size_t j = 0; j < jobs_.size(); ++j) {
       JobRt& job = jobs_[j];
-      if (!job.submitted && job.submit_s <= now) submit(j, now);
+      if (!job.submitted && job.spec->submit_s <= now) submit(j);
       if (job.live() && job.spec->kind == JobKind::kServe)
         replay_serve(j, now);
     }
@@ -196,43 +191,6 @@ class SchedController {
     return out;
   }
 
-  /// A pack slice to run at an idle boundary (nothing dispatched, nothing
-  /// in flight), fair-share ranked like chunks; jobs_.size() = none fits.
-  std::size_t take_pack_slice(double now) {
-    const double next_serve = next_serve_event();
-    std::size_t best = jobs_.size();
-    for (std::size_t j = 0; j < jobs_.size(); ++j) {
-      const JobRt& job = jobs_[j];
-      if (!job.live() || job.spec->kind != JobKind::kPack) continue;
-      const double cost =
-          job.spec->pack_slice_compute_s + job.spec->pack_slice_io_s;
-      const bool fits = options_.backfill ? now + cost <= next_serve
-                                          : next_serve >= kNever;
-      if (!fits) continue;
-      if (best == jobs_.size() || ranks_before(j, best)) best = j;
-    }
-    return best;
-  }
-
-  /// Record a pack slice's execution (the body charged its cost already).
-  void on_pack_slice(std::size_t j, double now) {
-    JobRt& job = jobs_[j];
-    if (job.start_s < 0.0) {
-      job.start_s = now;
-      comm_.trace_sched(sim::SpanKind::kSchedStart,
-                        "job " + job.spec->name + " started (pack)");
-    }
-    ++job.pack_done;
-    if (any_serve_live())
-      pack_busy_s_ +=
-          job.spec->pack_slice_compute_s + job.spec->pack_slice_io_s;
-    ledger_.charge(job.tenant, 1.0);
-    comm_.trace_sched(sim::SpanKind::kSchedSlice,
-                      "job " + job.spec->name + ": slice " +
-                          std::to_string(job.pack_done) + "/" +
-                          std::to_string(job.spec->pack_slices));
-  }
-
   /// Fold one ring step's outcome back into the scheduler: publications
   /// complete queries and charge fair-share usage, crash orphans re-queue
   /// through their owning job, and the EWMA step estimate learns the
@@ -286,14 +244,14 @@ class SchedController {
     return true;
   }
 
-  /// Some query-backed job still holds work that has not reached the ring
+  /// Some job still holds work that has not reached the ring
   /// (unsubmitted, pending, arrivals left, waiting, orphans, batcher
   /// pending, or ready) — the ring's prefetch hint: without it, an unrouted
   /// ring whose last flights are finishing fetches a band it never scores.
   bool work_pending() const {
     for (std::size_t j = 0; j < jobs_.size(); ++j) {
       const JobRt& job = jobs_[j];
-      if (job.spec->kind == JobKind::kPack || job.completed) continue;
+      if (job.completed) continue;
       if (!job.submitted || !job.pending.empty() || !job.waiting.empty() ||
           !job.orphans.empty() || !job.ready.empty())
         return true;
@@ -312,7 +270,7 @@ class SchedController {
     double next = next_serve_event();
     for (const JobRt& job : jobs_)
       if (!job.submitted && job.spec->kind != JobKind::kServe)
-        next = std::min(next, job.submit_s);
+        next = std::min(next, job.spec->submit_s);
     return next;
   }
 
@@ -333,19 +291,18 @@ class SchedController {
   std::size_t preemptions() const { return preemptions_; }
   std::size_t backfill_chunks() const { return backfill_chunks_; }
   double backfill_busy_s() const { return backfill_busy_s_; }
-  double pack_busy_s() const { return pack_busy_s_; }
 
  private:
-  void submit(std::size_t j, double now) {
+  void submit(std::size_t j) {
     JobRt& job = jobs_[j];
     job.submitted = true;
     const JobSpec& spec = *job.spec;
     if (spec.kind == JobKind::kBatch) {
       for (std::size_t id = spec.query_begin; id < spec.query_end; ++id) {
         job.pending.push_back(id);
-        outcomes_[id].arrival_s = job.submit_s;
+        outcomes_[id].arrival_s = spec.submit_s;
       }
-    } else if (spec.kind == JobKind::kServe) {
+    } else {
       job.batcher.emplace(spec.batch);
       job.admission.emplace(spec.admission);
     }
@@ -354,7 +311,6 @@ class SchedController {
         "job " + spec.name + " submitted (" + job_kind_name(spec.kind) +
             ", " + priority_name(spec.priority) + ", tenant " + spec.tenant +
             ", " + std::to_string(spec.query_count()) + " queries)");
-    (void)now;
   }
 
   /// One serve job's boundary replay, in event order: crash orphans,
@@ -441,9 +397,6 @@ class SchedController {
                  job.waiting.empty() && job.orphans.empty() &&
                  job.batcher->pending() == 0 && job.ready.empty() &&
                  job.inflight == 0;
-          break;
-        case JobKind::kPack:
-          done = job.pack_done == job.spec->pack_slices;
           break;
       }
       if (!done) continue;
@@ -538,7 +491,7 @@ class SchedController {
       const JobRt& job = jobs_[j];
       if (job.spec->kind != JobKind::kServe || job.completed) continue;
       if (!job.submitted) {
-        next = std::min(next, job.submit_s);
+        next = std::min(next, job.spec->submit_s);
         continue;
       }
       const std::vector<double>& arrivals = serve_arrivals_[j];
@@ -552,7 +505,6 @@ class SchedController {
   std::size_t owner_of(std::size_t id) const {
     for (std::size_t j = 0; j < jobs_.size(); ++j) {
       const JobSpec& spec = *jobs_[j].spec;
-      if (spec.kind == JobKind::kPack) continue;
       if (id >= spec.query_begin && id < spec.query_end) return j;
     }
     throw InvalidArgument("orphaned query id owned by no job");
@@ -577,7 +529,6 @@ class SchedController {
   std::size_t preemptions_ = 0;
   std::size_t backfill_chunks_ = 0;
   double backfill_busy_s_ = 0.0;
-  double pack_busy_s_ = 0.0;
   double step_estimate_s_ = 0.0;
 };
 
@@ -590,13 +541,11 @@ struct BodyOutput {
   std::size_t preemptions = 0;
   std::size_t backfill_chunks = 0;
   double backfill_busy_s = 0.0;
-  double pack_busy_s = 0.0;
   int ring_steps = 0;
 };
 
 void sched_body(sim::Comm& comm, const std::string& fasta_image,
                 const std::vector<Spectrum>& queries,
-                const std::vector<double>& submits,
                 const std::vector<std::vector<double>>& serve_arrivals,
                 const SearchEngine& engine, const SchedOptions& options,
                 QueryHits& all_hits, BodyOutput& output) {
@@ -604,14 +553,13 @@ void sched_body(sim::Comm& comm, const std::string& fasta_image,
                    std::span<const Spectrum>(queries.data(), queries.size()),
                    engine, all_hits, options.mass_routing,
                    options.route_bucket_da);
-  SchedController ctl(comm, options, submits, serve_arrivals, queries.size());
+  SchedController ctl(comm, options, serve_arrivals, queries.size());
 
-  // The event loop: admit, step, idle-until, with three scheduler
-  // decisions at each boundary (preempt, dispatch/backfill, pack slice).
-  // Every `boundary` value is fence-aligned — the post-construction
-  // barrier, a step's boundary time, a pack slice's post-barrier clock, an
-  // idle target — never a raw clock read after divergent per-rank charges,
-  // which is what keeps the replicated controllers in lockstep.
+  // The event loop: admit, step, idle-until, with two scheduler decisions
+  // at each boundary (preempt, dispatch/backfill). Every `boundary` value
+  // is fence-aligned — the post-construction barrier, a step's boundary
+  // time, an idle target — never a raw clock read after divergent per-rank
+  // charges, which is what keeps the replicated controllers in lockstep.
   double boundary = comm.clock().now();
   for (;;) {
     ctl.boundary(boundary);
@@ -624,18 +572,6 @@ void sched_body(sim::Comm& comm, const std::string& fasta_image,
 
     if (ring.in_flight() == 0) {
       if (ctl.drained()) break;
-      const std::size_t pack_job = ctl.take_pack_slice(boundary);
-      if (pack_job != options.jobs.size()) {
-        // One deterministic build slice on every rank, fenced so the next
-        // boundary is shared. Only time moves — hits are untouched.
-        const JobSpec& spec = options.jobs[pack_job];
-        comm.clock().charge_compute(spec.pack_slice_compute_s);
-        comm.clock().charge_io(spec.pack_slice_io_s);
-        comm.barrier();
-        boundary = comm.clock().now();
-        ctl.on_pack_slice(pack_job, boundary);
-        continue;
-      }
       // Idle gap: nothing runnable fits before the next control event.
       const double next = ctl.next_event_time();
       MSP_CHECK_MSG(next < kNever, "idle scheduler with no future event");
@@ -682,7 +618,6 @@ void sched_body(sim::Comm& comm, const std::string& fasta_image,
     output.preemptions = ctl.preemptions();
     output.backfill_chunks = ctl.backfill_chunks();
     output.backfill_busy_s = ctl.backfill_busy_s();
-    output.pack_busy_s = ctl.pack_busy_s();
     output.ring_steps = ring.steps_done();
 
     output.jobs.reserve(ctl.jobs().size());
@@ -692,14 +627,13 @@ void sched_body(sim::Comm& comm, const std::string& fasta_image,
       outcome.tenant = job.spec->tenant;
       outcome.kind = job.spec->kind;
       outcome.priority = job.spec->priority;
-      outcome.submit_s = job.submit_s;
+      outcome.submit_s = job.spec->submit_s;
       outcome.start_s = job.start_s;
       outcome.complete_s = job.complete_s;
       outcome.queries_completed = job.completed_queries;
       outcome.queries_shed = job.shed;
       outcome.preemptions = job.preemptions;
       outcome.backfill_chunks = job.backfill_chunks;
-      outcome.pack_slices_done = job.pack_done;
       output.jobs.push_back(std::move(outcome));
     }
 
@@ -717,7 +651,6 @@ void sched_body(sim::Comm& comm, const std::string& fasta_image,
         account.queries_shed += job.shed;
         account.preemptions += job.preemptions;
         account.backfill_chunks += job.backfill_chunks;
-        account.pack_slices += job.pack_done;
       }
       output.tenants.push_back(std::move(account));
     }
@@ -738,17 +671,9 @@ void validate(const std::vector<Spectrum>& queries,
   std::vector<std::pair<std::size_t, std::size_t>> ranges;
   for (const JobSpec& job : options.jobs) {
     if (job.name.empty()) throw InvalidArgument("job with an empty name");
-    if (job.kind == JobKind::kPack) {
-      if (job.pack_slices == 0)
-        throw InvalidArgument("pack job " + job.name + " with zero slices");
-      for (const auto& [field, seconds] :
-           {std::pair{"pack_slice_compute_s", job.pack_slice_compute_s},
-            std::pair{"pack_slice_io_s", job.pack_slice_io_s}})
-        if (!std::isfinite(seconds) || seconds < 0.0)
-          throw InvalidArgument("pack job " + job.name + ": " + field +
-                                " must be finite and non-negative");
-      continue;
-    }
+    if (!std::isfinite(job.submit_s) || job.submit_s < 0.0)
+      throw InvalidArgument("job " + job.name +
+                            ": submit_s must be finite and non-negative");
     if (job.query_begin > job.query_end || job.query_end > queries.size())
       throw InvalidArgument("job " + job.name + " query range out of bounds");
     if (job.query_count() > 0)
@@ -761,9 +686,9 @@ void validate(const std::vector<Spectrum>& queries,
                             "exactly one owner");
 }
 
-/// Conservation over a finished run: every query of a query-backed job is
-/// either published exactly once or shed, never both, and the per-tenant
-/// ledgers and run totals balance against the per-job counters.
+/// Conservation over a finished run: every query of every job is either
+/// published exactly once or shed, never both, and the per-tenant ledgers
+/// and run totals balance against the per-job counters.
 void check_conservation(const SchedOptions& options,
                         const SchedResult& result) {
   TenantAccounting jobs_sum;
@@ -775,8 +700,6 @@ void check_conservation(const SchedOptions& options,
     jobs_sum.queries_shed += job.queries_shed;
     jobs_sum.preemptions += job.preemptions;
     jobs_sum.backfill_chunks += job.backfill_chunks;
-    jobs_sum.pack_slices += job.pack_slices_done;
-    if (spec.kind == JobKind::kPack) continue;
     std::size_t completed = 0;
     std::size_t shed = 0;
     for (std::size_t id = spec.query_begin; id < spec.query_end; ++id) {
@@ -801,11 +724,10 @@ void check_conservation(const SchedOptions& options,
     tenants_sum.queries_shed += tenant.queries_shed;
     tenants_sum.preemptions += tenant.preemptions;
     tenants_sum.backfill_chunks += tenant.backfill_chunks;
-    tenants_sum.pack_slices += tenant.pack_slices;
   }
   const auto ledger = [](const TenantAccounting& t) {
     return std::tie(t.jobs_submitted, t.queries_completed, t.queries_shed,
-                    t.preemptions, t.backfill_chunks, t.pack_slices);
+                    t.preemptions, t.backfill_chunks);
   };
   MSP_CHECK_MSG(ledger(tenants_sum) == ledger(jobs_sum),
                 "tenant accounting does not balance against the per-job sums");
@@ -826,24 +748,21 @@ SchedResult run_sched(const sim::Runtime& runtime,
   validate(queries, options);
   const SearchEngine engine(config);
 
-  // Submit schedule: explicit submit_s wins; the rest take their ordinal's
-  // arrival from the job arrival model — both pure functions of the spec.
-  std::vector<double> submits =
-      serve::make_arrivals(options.job_arrivals, options.jobs.size());
+  // Each serve job's arrival schedule, on the global virtual clock — a pure
+  // function of its spec.
   std::vector<std::vector<double>> serve_arrivals(options.jobs.size());
   for (std::size_t j = 0; j < options.jobs.size(); ++j) {
     const JobSpec& job = options.jobs[j];
-    if (job.submit_s >= 0.0) submits[j] = job.submit_s;
     if (job.kind != JobKind::kServe) continue;
     serve_arrivals[j] = serve::make_arrivals(job.arrivals, job.query_count());
-    for (double& t : serve_arrivals[j]) t += submits[j];
+    for (double& t : serve_arrivals[j]) t += job.submit_s;
   }
 
   QueryHits all_hits(queries.size());
   BodyOutput output;
   sim::RunReport report = runtime.run([&](sim::Comm& comm) {
-    sched_body(comm, fasta_image, queries, submits, serve_arrivals, engine,
-               options, all_hits, output);
+    sched_body(comm, fasta_image, queries, serve_arrivals, engine, options,
+               all_hits, output);
   });
 
   SchedResult result;
@@ -857,7 +776,6 @@ SchedResult run_sched(const sim::Runtime& runtime,
   result.preemptions = output.preemptions;
   result.backfill_chunks = output.backfill_chunks;
   result.backfill_busy_s = output.backfill_busy_s;
-  result.pack_busy_s = output.pack_busy_s;
   result.ring_steps = output.ring_steps;
 
   for (const serve::QueryOutcome& outcome : result.outcomes) {

@@ -1,21 +1,21 @@
 // Multi-tenant cluster scheduler over the simulated ring (DESIGN.md §5l).
 //
-// run_sched() plays a *job mix* — batch searches, latency-sensitive serve
-// sessions, pack/index builds — against one shared serving ring
+// run_sched() plays a *job mix* — batch searches and latency-sensitive
+// serve sessions — against one shared serving ring
 // (core/ring_service.hpp). Its replicated controller and event loop are the
 // repo's one control plane: serve::run_service() is a one-job mix (one
 // tenant, one kServe job owning the whole stream). Every rank runs the
-// same controller on the same globally known inputs (job specs,
-// submit schedule, each serve job's arrival schedule, the fault schedule),
+// same controller on the same globally known inputs (job specs and their
+// submit times, each serve job's arrival schedule, the fault schedule),
 // and every decision — job submission, serve dispatch, backfill admission,
-// preemption, pack slices, fair-share decay — is taken only at
-// fence-aligned boundaries where all virtual clocks are provably equal. No
-// control messages exist, so there is nothing to reorder: the whole
-// schedule is deterministic by the §5g argument.
+// preemption, fair-share decay — is taken only at fence-aligned boundaries
+// where all virtual clocks are provably equal. No control messages exist,
+// so there is nothing to reorder: the whole schedule is deterministic by
+// the §5g argument.
 //
-// Work placement: all query-backed jobs execute as flights of the one
-// ring. Batch jobs are sliced into fixed-size *chunks* admitted only when
-// the ring has spare capacity — the Slurm-style backfill rule: a chunk is
+// Work placement: all jobs execute as flights of the one ring. Batch jobs
+// are sliced into fixed-size *chunks* admitted only when the ring has
+// spare capacity — the Slurm-style backfill rule: a chunk is
 // admitted iff its predicted completion (p ring steps at the EWMA step
 // duration) fits before the next serve event, which is computable exactly
 // because arrival schedules are global knowledge. A serve batch becoming
@@ -23,7 +23,7 @@
 // is removed whole from the ring and its queries re-queued — an *induced
 // recoverable fault* riding the PR-1 crash-recovery contract, which is why
 // preempted-then-resumed jobs stay bit-identical to their uncontended
-// runs. Pack jobs consume idle boundaries that no chunk fits into.
+// runs.
 #pragma once
 
 #include <cstddef>
@@ -45,9 +45,6 @@ namespace msp::sched {
 struct SchedOptions {
   std::vector<TenantSpec> tenants;
   std::vector<JobSpec> jobs;
-  /// Submit times for jobs whose spec leaves submit_s < 0 (job j takes the
-  /// j-th arrival). Reuses the serve-layer arrival processes verbatim.
-  serve::ArrivalModel job_arrivals;
   /// Backfill batch chunks into measured serve idle spans. Off = batch
   /// jobs wait until every serve job has drained (the strict-partition
   /// baseline the bench compares against).
@@ -61,9 +58,6 @@ struct SchedOptions {
   /// Cap on batch chunks in flight at once (bounds how much per-step
   /// scoring weight backfill can add under a serve batch).
   std::size_t max_inflight_chunks = 2;
-  /// Fair-share usage half-life (seconds of virtual time; <= 0 disables
-  /// decay and makes usage lifetime-cumulative).
-  double fairshare_halflife_s = 30.0;
   /// Seed for the EWMA ring-step-duration estimate the backfill
   /// fit check uses before any step has been observed.
   double step_estimate_init_s = 0.02;
@@ -78,13 +72,12 @@ struct JobOutcome {
   JobKind kind = JobKind::kBatch;
   Priority priority = Priority::kNormal;
   double submit_s = 0.0;
-  double start_s = -1.0;     ///< first chunk/batch/slice entered the ring
-  double complete_s = -1.0;  ///< last query published / last slice done
+  double start_s = -1.0;     ///< first chunk/batch entered the ring
+  double complete_s = -1.0;  ///< last query published
   std::size_t queries_completed = 0;
   std::size_t queries_shed = 0;  ///< serve only
   std::size_t preemptions = 0;   ///< chunks evicted (batch only)
   std::size_t backfill_chunks = 0;
-  std::size_t pack_slices_done = 0;
 };
 
 struct SchedResult {
@@ -108,13 +101,12 @@ struct SchedResult {
   /// serve_idle_seconds(). The numerator of the bench's reclaimed-idle
   /// ratio.
   double backfill_busy_s = 0.0;
-  double pack_busy_s = 0.0;  ///< same, for pack slices in serve gaps
   double makespan_s = 0.0;
   double throughput_qps = 0.0;
 };
 
 /// Run the job mix on `runtime.size()` simulated ranks. `queries` is the
-/// global stream every query-backed job owns a disjoint slice of.
+/// global stream every job owns a disjoint slice of.
 SchedResult run_sched(const sim::Runtime& runtime,
                       const std::string& fasta_image,
                       const std::vector<Spectrum>& queries,

@@ -4,9 +4,8 @@
 
 namespace msp::sched {
 
-TenantLedger::TenantLedger(const std::vector<TenantSpec>& specs,
-                           double halflife_s)
-    : specs_(specs), usage_(specs.size(), 0.0), halflife_s_(halflife_s) {
+TenantLedger::TenantLedger(const std::vector<TenantSpec>& specs)
+    : specs_(specs), usage_(specs.size(), 0.0) {
   MSP_CHECK_MSG(!specs_.empty(), "scheduler needs at least one tenant");
   for (std::size_t t = 0; t < specs_.size(); ++t) {
     MSP_CHECK_MSG(!specs_[t].name.empty(), "tenant with an empty name");
@@ -25,11 +24,9 @@ std::size_t TenantLedger::index_of(const std::string& name) const {
 
 void TenantLedger::advance(double now) {
   if (now <= last_advance_s_) return;
-  if (halflife_s_ > 0.0) {
-    const double factor =
-        std::exp2(-(now - last_advance_s_) / halflife_s_);
-    for (double& usage : usage_) usage *= factor;
-  }
+  const double factor =
+      std::exp2(-(now - last_advance_s_) / kFairShareHalfLifeS);
+  for (double& usage : usage_) usage *= factor;
   last_advance_s_ = now;
 }
 

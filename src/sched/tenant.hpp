@@ -1,11 +1,11 @@
 // Per-tenant QOS state and accounting for the cluster scheduler.
 //
 // Fair share is Slurm-shaped: every tenant accumulates *usage* (queries'
-// worth of ring work it consumed) that decays exponentially with a
-// configured half-life, and the backfill scheduler always serves the
-// runnable tenant with the lowest weight-normalized decayed usage — so a
-// tenant that just burned a large batch slides to the back of the line and
-// recovers its share as the decay forgets. All state advances only at
+// worth of ring work it consumed) that decays exponentially with a fixed
+// half-life (kFairShareHalfLifeS), and the backfill scheduler always serves
+// the runnable tenant with the lowest weight-normalized decayed usage — so
+// a tenant that just burned a large batch slides to the back of the line
+// and recovers its share as the decay forgets. All state advances only at
 // fence-aligned boundaries on the virtual clock (never a host clock), with
 // ties broken by tenant ordinal, so every rank's replica of the ledger
 // walks the identical trajectory.
@@ -36,7 +36,6 @@ struct TenantAccounting {
   std::size_t queries_shed = 0;       ///< serve arrivals dropped by admission
   std::size_t preemptions = 0;        ///< chunks evicted from the ring
   std::size_t backfill_chunks = 0;    ///< chunks admitted into serve gaps
-  std::size_t pack_slices = 0;        ///< pack/build slices executed
   double usage_end = 0.0;             ///< decayed usage at the final boundary
   double throughput_qps = 0.0;        ///< queries_completed / makespan
   /// Completion latency of the tenant's *serve* queries (empty for
@@ -44,11 +43,14 @@ struct TenantAccounting {
   serve::LatencySummary serve_latency;
 };
 
+/// Virtual seconds over which a tenant's fair-share usage halves.
+inline constexpr double kFairShareHalfLifeS = 30.0;
+
 /// The replicated fair-share ledger (one instance per rank, identical
 /// inputs → identical state).
 class TenantLedger {
  public:
-  TenantLedger(const std::vector<TenantSpec>& specs, double halflife_s);
+  explicit TenantLedger(const std::vector<TenantSpec>& specs);
 
   std::size_t size() const { return specs_.size(); }
   const TenantSpec& spec(std::size_t t) const { return specs_[t]; }
@@ -57,8 +59,7 @@ class TenantLedger {
   std::size_t index_of(const std::string& name) const;
 
   /// Decay every tenant's usage from the last boundary to `now`
-  /// (usage *= 2^(-Δt / halflife); a non-positive half-life disables decay
-  /// and makes fair share lifetime-cumulative).
+  /// (usage *= 2^(-Δt / kFairShareHalfLifeS)).
   void advance(double now);
 
   /// Charge `amount` usage units (query scoring slots) to tenant `t`.
@@ -82,7 +83,6 @@ class TenantLedger {
  private:
   std::vector<TenantSpec> specs_;
   std::vector<double> usage_;
-  double halflife_s_ = 0.0;
   double last_advance_s_ = 0.0;
 };
 

@@ -153,7 +153,7 @@ class Comm {
   void trace_serve(SpanKind kind, const std::string& label);
   /// Drop an instant scheduler-decision event on this rank's sched lane
   /// (lane 4) at the current virtual time. `kind` must be one of the
-  /// kSched* marker kinds (submit/start/backfill/preempt/complete/slice).
+  /// kSched* marker kinds (submit/start/backfill/preempt/complete).
   /// No-op when tracing is disabled; never advances the clock.
   void trace_sched(SpanKind kind, const std::string& label);
 

@@ -60,7 +60,6 @@ enum class SpanKind {
   kSchedBackfill,  ///< batch chunk backfilled into a measured serve gap
   kSchedPreempt,   ///< batch flight preempted; queries re-queued
   kSchedComplete,  ///< job's last query published
-  kSchedSlice,     ///< pack/index-build compute slice executed
 };
 
 const char* span_kind_name(SpanKind kind);

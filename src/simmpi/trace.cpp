@@ -86,7 +86,6 @@ const char* span_kind_name(SpanKind kind) {
     case SpanKind::kSchedBackfill: return "sched-backfill";
     case SpanKind::kSchedPreempt: return "sched-preempt";
     case SpanKind::kSchedComplete: return "sched-complete";
-    case SpanKind::kSchedSlice: return "sched-slice";
   }
   return "?";
 }
@@ -110,7 +109,6 @@ int span_lane(SpanKind kind) {
     case SpanKind::kSchedBackfill:
     case SpanKind::kSchedPreempt:
     case SpanKind::kSchedComplete:
-    case SpanKind::kSchedSlice:
       return 4;
     default:
       return 0;

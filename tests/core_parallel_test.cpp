@@ -530,7 +530,8 @@ TEST(Pipeline, AllAlgorithmsAgree) {
   const Fixture& f = fixture();
   for (Algorithm algorithm :
        {Algorithm::kSerial, Algorithm::kAlgorithmA, Algorithm::kAlgorithmB,
-        Algorithm::kMasterWorker, Algorithm::kQueryTransport}) {
+        Algorithm::kHybrid, Algorithm::kMasterWorker,
+        Algorithm::kQueryTransport}) {
     PipelineOptions options;
     options.algorithm = algorithm;
     options.p = 4;
@@ -546,6 +547,13 @@ TEST(Pipeline, AlgorithmNamesRoundTrip) {
   EXPECT_EQ(algorithm_from_name("serial"), Algorithm::kSerial);
   EXPECT_EQ(algorithm_from_name("master-worker"), Algorithm::kMasterWorker);
   EXPECT_EQ(algorithm_from_name("query"), Algorithm::kQueryTransport);
+  // Every printed name (the CLI banner's) parses back to its algorithm.
+  for (const Algorithm algorithm :
+       {Algorithm::kSerial, Algorithm::kAlgorithmA, Algorithm::kAlgorithmB,
+        Algorithm::kHybrid, Algorithm::kMasterWorker,
+        Algorithm::kQueryTransport})
+    EXPECT_EQ(algorithm_from_name(algorithm_name(algorithm)), algorithm)
+        << algorithm_name(algorithm);
   EXPECT_THROW(algorithm_from_name("nope"), InvalidArgument);
 }
 

@@ -13,6 +13,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -333,20 +334,98 @@ TEST(FragmentIndexWire, RejectsCorruptedRecords) {
   }
 }
 
-TEST(FragmentIndexWire, ConstructorRejectsBrokenCsr) {
-  const FragmentIndexParams params{CandidateIndexParams{}, 1.0};
-  // starts must begin at 0, be monotone, and sum to the posting count;
-  // ordinals must be in range and ascending per bin; the grid finite.
-  EXPECT_THROW(FragmentIndex(params, 2, {1, 1}, {}), InvalidArgument);
-  EXPECT_THROW(FragmentIndex(params, 2, {0, 2, 1}, {0, 1}), InvalidArgument);
-  EXPECT_THROW(FragmentIndex(params, 2, {0, 1}, {0, 1}), InvalidArgument);
-  EXPECT_THROW(FragmentIndex(params, 2, {0, 1}, {5}), InvalidArgument);
-  EXPECT_THROW(FragmentIndex(params, 2, {0, 2}, {1, 0}), InvalidArgument);
-  EXPECT_THROW(
-      FragmentIndex(FragmentIndexParams{CandidateIndexParams{}, -1.0}, 0, {},
-                    {}),
-      InvalidArgument);
-  EXPECT_NO_THROW(FragmentIndex(params, 2, {0, 1, 2}, {0, 1}));
+/// The fields of a hand-built fragment-index record, after its header.
+struct CsrRecord {
+  double bin_width = 1.0;
+  std::uint64_t candidates = 3;
+  std::uint64_t bins = 2;
+  std::uint64_t posting_count = 3;
+  std::vector<std::uint32_t> counts = {1, 2};
+  std::vector<std::uint32_t> ordinals = {2, 0, 1};
+};
+
+std::vector<char> encode(const CsrRecord& record) {
+  // Magic and version exactly as put_fragment_index writes them.
+  wire::Writer header;
+  put_fragment_index(header, FragmentIndex{});
+  wire::Reader header_reader(header.bytes());
+  wire::Writer writer;
+  writer.put_u64(header_reader.get_u64());
+  writer.put_u32(header_reader.get_u32());
+  const CandidateIndexParams params;
+  writer.put_u8(static_cast<std::uint8_t>(params.mode));
+  writer.put_u32(params.min_length);
+  writer.put_u32(params.max_length);
+  writer.put_u32(params.missed_cleavages);
+  writer.put_double(record.bin_width);
+  writer.put_u64(record.candidates);
+  writer.put_u64(record.bins);
+  writer.put_u64(record.posting_count);
+  for (const std::uint32_t count : record.counts) writer.put_u32(count);
+  for (const std::uint32_t ordinal : record.ordinals) writer.put_u32(ordinal);
+  return writer.take();
+}
+
+// One hand-built record per CSR check of the decoder: each violates exactly
+// that check and must be rejected with IoError.
+TEST(FragmentIndexWire, RejectsBrokenCsrRecords) {
+  {
+    const std::vector<char> bytes = encode(CsrRecord{});
+    wire::Reader reader(bytes);
+    const FragmentIndex decoded = get_fragment_index(reader);
+    EXPECT_EQ(decoded.bin_count(), 2u);
+    EXPECT_EQ(decoded.posting_count(), 3u);
+  }
+  const auto rejects = [](const CsrRecord& record, const std::string& label) {
+    const std::vector<char> bytes = encode(record);
+    wire::Reader reader(bytes);
+    EXPECT_THROW(get_fragment_index(reader), IoError) << label;
+  };
+  for (const double width : {0.0, -1.0,
+                             std::numeric_limits<double>::quiet_NaN(),
+                             std::numeric_limits<double>::infinity()}) {
+    CsrRecord record;
+    record.bin_width = width;
+    rejects(record, "bin width " + std::to_string(width));
+  }
+  {  // a bin count no payload could hold, beyond any vector's max_size
+    CsrRecord record;
+    record.bins = std::uint64_t{1} << 62;
+    rejects(record, "bin count beyond payload");
+  }
+  {  // per-bin counts that sum to the claimed posting count, with none of
+     // the postings present
+    CsrRecord record;
+    record.bins = 64;
+    record.counts.assign(64, std::numeric_limits<std::uint32_t>::max());
+    record.posting_count =
+        64 * std::uint64_t{std::numeric_limits<std::uint32_t>::max()};
+    record.ordinals.clear();
+    rejects(record, "posting count beyond payload");
+  }
+  {
+    CsrRecord record;
+    record.counts = {1, 1};
+    rejects(record, "per-bin counts not summing to the posting count");
+  }
+  {
+    CsrRecord record;
+    record.bins = 0;
+    record.counts.clear();
+    rejects(record, "postings without bins");
+  }
+  {
+    CsrRecord record;
+    record.ordinals = {3, 0, 1};
+    rejects(record, "ordinal equal to the candidate count");
+  }
+  const std::vector<std::vector<std::uint32_t>> unordered = {{2, 1, 0},
+                                                             {2, 1, 1}};
+  for (const std::vector<std::uint32_t>& ordinals : unordered) {
+    CsrRecord record;
+    record.ordinals = ordinals;
+    rejects(record, "bin postings not strictly ascending");
+  }
 }
 
 TEST(FragmentIndexWire, ImageWithoutFragmentFallsBackToExhaustiveSearch) {

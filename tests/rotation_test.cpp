@@ -137,21 +137,17 @@ TEST(Rotation, OneFetchPerVisitedRemoteShard) {
 
   // Algorithm B visits its sender group {p − visited, ..., p − 1}; its own
   // shard, when in the group, is searched in place.
-  for (const bool mask : {true, false}) {
-    AlgorithmBOptions options;
-    options.mask = mask;
-    const AlgorithmBResult b =
-        run_algorithm_b(traced(4), f.image, f.queries, f.config, options);
-    for (int r = 0; r < 4; ++r) {
-      const sim::RankStats& rank = b.report.ranks[static_cast<std::size_t>(r)];
-      const auto counter = rank.counters.find("shards_visited");
-      ASSERT_NE(counter, rank.counters.end()) << "B rank " << r;
-      const auto visited = static_cast<std::size_t>(counter->second);
-      const bool own_in_group =
-          visited > 0 && static_cast<std::size_t>(r) >= 4 - visited;
-      EXPECT_EQ(rget_issues(rank), visited - (own_in_group ? 1 : 0))
-          << "B mask=" << mask << " rank " << r;
-    }
+  const AlgorithmBResult b =
+      run_algorithm_b(traced(4), f.image, f.queries, f.config);
+  for (int r = 0; r < 4; ++r) {
+    const sim::RankStats& rank = b.report.ranks[static_cast<std::size_t>(r)];
+    const auto counter = rank.counters.find("shards_visited");
+    ASSERT_NE(counter, rank.counters.end()) << "B rank " << r;
+    const auto visited = static_cast<std::size_t>(counter->second);
+    const bool own_in_group =
+        visited > 0 && static_cast<std::size_t>(r) >= 4 - visited;
+    EXPECT_EQ(rget_issues(rank), visited - (own_in_group ? 1 : 0))
+        << "B rank " << r;
   }
 
   // The serving ring, unrouted, one batch: one rotation, one fetch per

@@ -392,32 +392,6 @@ TEST(Sched, TenantAccountingLandsInRunReport) {
 }
 
 // ---------------------------------------------------------------------------
-// Pack jobs: deterministic build slices consume idle boundaries.
-
-TEST(Sched, PackJobRunsToCompletion) {
-  const Fixture& f = fixture();
-  const sim::Runtime runtime(4);
-  sched::SchedOptions options = default_mix();
-  sched::JobSpec pack;
-  pack.name = "repack";
-  pack.tenant = "zeta";
-  pack.kind = sched::JobKind::kPack;
-  pack.priority = sched::Priority::kLow;
-  pack.submit_s = 0.0;
-  pack.pack_slices = 3;
-  options.jobs.push_back(pack);
-
-  const sched::SchedResult result =
-      sched::run_sched(runtime, f.image, f.queries, f.config, options);
-  EXPECT_EQ(result.completed, f.queries.size());
-  expect_hits_equal(result.hits, f.serial, "with pack");
-  const sched::JobOutcome& outcome = result.jobs.back();
-  EXPECT_EQ(outcome.pack_slices_done, 3u);
-  EXPECT_GE(outcome.complete_s, outcome.start_s);
-  EXPECT_EQ(result.tenants[1].pack_slices, 3u);
-}
-
-// ---------------------------------------------------------------------------
 // Traces: sched lane present, validator clean, byte-identical reruns.
 
 TEST(Sched, TraceValidatesWithSchedLane) {
@@ -588,6 +562,47 @@ TEST(Sched, BatchAtATimeServeJobWaitsForAnEmptyRing) {
 }
 
 // ---------------------------------------------------------------------------
+// submit_s is a plain virtual time: a job left at the default submits at
+// t = 0, and a late job's queries arrive at its submit time and none of
+// them enters the ring before it, even once the ring has drained and idles.
+
+TEST(Sched, BatchJobWaitsForItsSubmitTime) {
+  const Fixture& f = fixture();
+  const sim::Runtime runtime(4);
+  sched::SchedOptions options = default_mix();
+  sched::JobSpec analytics;
+  analytics.name = "analytics";
+  analytics.tenant = "zeta";
+  analytics.query_begin = 12;
+  analytics.query_end = 24;
+  options.jobs[1] = analytics;
+  const double late_s = 0.5;
+  options.jobs[2].submit_s = late_s;
+  const sched::SchedResult result =
+      sched::run_sched(runtime, f.image, f.queries, f.config, options);
+  EXPECT_EQ(result.completed, f.queries.size());
+  expect_hits_equal(result.hits, f.serial, "late submit");
+  ASSERT_EQ(result.jobs.size(), 3u);
+
+  const sched::JobOutcome& early = result.jobs[1];
+  EXPECT_EQ(early.submit_s, 0.0);
+  EXPECT_GE(early.start_s, 0.0);
+  EXPECT_LT(early.complete_s, late_s);
+
+  const sched::JobOutcome& late = result.jobs[2];
+  EXPECT_EQ(late.submit_s, late_s);
+  EXPECT_GE(late.start_s, late_s);
+  EXPECT_GT(late.complete_s, late.start_s);
+  EXPECT_EQ(late.queries_completed, 12u);
+  for (std::size_t q = 24; q < 36; ++q) {
+    const serve::QueryOutcome& outcome = result.outcomes[q];
+    EXPECT_EQ(outcome.arrival_s, late_s) << "query " << q;
+    EXPECT_GE(outcome.dispatch_s, late_s) << "query " << q;
+  }
+  EXPECT_GT(result.makespan_s, late_s);
+}
+
+// ---------------------------------------------------------------------------
 // Spec validation and name round-trips.
 
 TEST(Sched, RejectsMalformedMixes) {
@@ -613,22 +628,13 @@ TEST(Sched, RejectsMalformedMixes) {
   unknown_tenant.jobs[1].tenant = "nobody";
   EXPECT_THROW(run(unknown_tenant), InvalidArgument);
 
-  sched::SchedOptions empty_pack = default_mix();
-  sched::JobSpec pack;
-  pack.name = "broken";
-  pack.tenant = "acme";
-  pack.kind = sched::JobKind::kPack;
-  pack.pack_slices = 0;
-  empty_pack.jobs.push_back(pack);
-  EXPECT_THROW(run(empty_pack), InvalidArgument);
-
   sched::SchedOptions zero_chunk = default_mix();
   zero_chunk.chunk_queries = 0;
   EXPECT_THROW(run(zero_chunk), InvalidArgument);
 
-  // Costs that would run the virtual clocks backwards, and estimates that
-  // are not finite and positive, are rejected at validation — naming the
-  // field, not at some later internal check.
+  // Submit times that would run the virtual clocks backwards or never come,
+  // and estimates that are not finite and positive, are rejected at
+  // validation — naming the field, not at some later internal check.
   const auto rejects = [&](const sched::SchedOptions& options,
                            const std::string& field) {
     try {
@@ -639,22 +645,11 @@ TEST(Sched, RejectsMalformedMixes) {
           << error.what();
     }
   };
-  sched::JobSpec slice;
-  slice.name = "index";
-  slice.tenant = "acme";
-  slice.kind = sched::JobKind::kPack;
-  slice.pack_slices = 2;
-  for (const double bad : {-5.0, std::numeric_limits<double>::quiet_NaN(),
+  for (const double bad : {-1.0, std::numeric_limits<double>::quiet_NaN(),
                            std::numeric_limits<double>::infinity()}) {
-    sched::SchedOptions bad_compute = default_mix();
-    bad_compute.jobs.push_back(slice);
-    bad_compute.jobs.back().pack_slice_compute_s = bad;
-    rejects(bad_compute, "pack_slice_compute_s");
-
-    sched::SchedOptions bad_io = default_mix();
-    bad_io.jobs.push_back(slice);
-    bad_io.jobs.back().pack_slice_io_s = bad;
-    rejects(bad_io, "pack_slice_io_s");
+    sched::SchedOptions bad_submit = default_mix();
+    bad_submit.jobs[1].submit_s = bad;
+    rejects(bad_submit, "submit_s");
   }
   for (const double bad : {0.0, -1.0, std::numeric_limits<double>::quiet_NaN(),
                            std::numeric_limits<double>::infinity()}) {
@@ -665,16 +660,11 @@ TEST(Sched, RejectsMalformedMixes) {
 }
 
 TEST(Sched, NamesRoundTrip) {
-  for (const sched::JobKind kind :
-       {sched::JobKind::kBatch, sched::JobKind::kServe, sched::JobKind::kPack})
-    EXPECT_EQ(sched::job_kind_from_name(sched::job_kind_name(kind)), kind);
-  for (const sched::Priority priority :
-       {sched::Priority::kLow, sched::Priority::kNormal,
-        sched::Priority::kHigh})
-    EXPECT_EQ(sched::priority_from_name(sched::priority_name(priority)),
-              priority);
-  EXPECT_THROW(sched::job_kind_from_name("bogus"), InvalidArgument);
-  EXPECT_THROW(sched::priority_from_name("bogus"), InvalidArgument);
+  EXPECT_STREQ(sched::job_kind_name(sched::JobKind::kBatch), "batch");
+  EXPECT_STREQ(sched::job_kind_name(sched::JobKind::kServe), "serve");
+  EXPECT_STREQ(sched::priority_name(sched::Priority::kLow), "low");
+  EXPECT_STREQ(sched::priority_name(sched::Priority::kNormal), "normal");
+  EXPECT_STREQ(sched::priority_name(sched::Priority::kHigh), "high");
 }
 
 }  // namespace
