@@ -24,7 +24,7 @@ void ring_search_body(sim::Comm& comm, const std::string& fasta_image,
 
   // ---- A1: load the rank's database chunk and prepare its query block ----
   comm.trace_mark("A1 load+prepare");
-  const ProteinDatabase local_db = load_rank_chunk(comm, fasta_image);
+  ProteinDatabase local_db = load_rank_chunk(comm, fasta_image);
 
   const QueryRange block = query_block(query_set.queries.size(), rank, p);
   const std::span<const Spectrum> local_queries(
@@ -39,23 +39,26 @@ void ring_search_body(sim::Comm& comm, const std::string& fasta_image,
 
   // ---- A2: ring rotation with masked one-sided transport ----
   // The shard's candidate index (and, in open search, its fragment-ion
-  // index) is built once here and ships with the shard bytes, so all p
-  // ranks the rotation delivers it to merge-join one enumeration instead of
-  // re-walking the proteins. It is clipped to the envelope of the whole
-  // query set, since every block — and every orphan a survivor adopts —
-  // is searched against it.
-  const ShardIndexes local = build_shard_indexes(
+  // index) is built once here, straight into the shard image that ships,
+  // so all p ranks the rotation delivers it to merge-join one enumeration
+  // instead of re-walking the proteins. It is clipped to the envelope of
+  // the whole query set, since every block — and every orphan a survivor
+  // adopts — is searched against it. The image is D_local: the rank scores
+  // its own shard through a view of it, like every fetched one, and keeps
+  // no other copy of its proteins or indexes.
+  const std::vector<char> local_pack = build_shard_image(
       comm, local_db, config, query_mass_envelope(engine, query_set.queries));
+  local_db = ProteinDatabase{};
+  const ShardView local = unpack_shard(local_pack);
   // The shard image carries exactly what its receivers score. Mass routing
   // (shared with the serving ring) travels separately: a collective
   // exchange of every shard's bucketed mass histogram leaves each rank
   // holding the identical global shard mass map before the rotation
   // starts, so routing decisions are pure functions of frozen global
   // inputs.
-  const std::vector<char> local_pack = pack_shard(local_db, local);
   const ShardMassMap shard_map =
       options.mass_routing
-          ? ShardMassMap::exchange(comm, MassHistogram::build(local.index))
+          ? ShardMassMap::exchange(comm, MassHistogram::build(local.entries))
           : ShardMassMap{};
   // D_local is exposed; with crashes scheduled, every shard is also copied
   // to its ring successor, so a dead rank's shard stays reachable there.
@@ -115,16 +118,15 @@ void ring_search_body(sim::Comm& comm, const std::string& fasta_image,
     if (options.mask && shard_needed[static_cast<std::size_t>(next)])
       window.prefetch(next, s);
 
-    if (current == rank) {
-      search_resident(comm, engine, local_db, local, prepared, tops);
-    } else {
-      // Unless a previous step's mask delivered this shard, resident()
-      // fetches it blocking (the unmasked variant, or the router skipped
-      // the steps in between), fully exposing the transfer.
-      const PackedShard fetched = unpack_shard(window.resident(current, s));
-      search_resident(comm, engine, fetched.db, fetched.indexes, prepared,
-                      tops);
-    }
+    // Unless a previous step's mask delivered a remote shard, resident()
+    // fetches it blocking (the unmasked variant, or the router skipped the
+    // steps in between), fully exposing the transfer. D_comp is scored
+    // where it landed, before settle() swaps it out.
+    if (current == rank)
+      search_resident(comm, engine, local, prepared, tops);
+    else
+      search_resident(comm, engine, unpack_shard(window.resident(current, s)),
+                      prepared, tops);
 
     window.settle();
     if (options.fence_per_iteration) window.fence();
@@ -180,16 +182,13 @@ void ring_search_body(sim::Comm& comm, const std::string& fasta_image,
             comm.clock().charge_compute(cost.seconds_per_route_check);
             continue;
           }
-          if (shard == rank) {
-            search_resident(comm, engine, local_db, local, orphan_prepared,
-                            orphan_tops);
-            continue;
-          }
-          // Always re-pulled (dead shards from their replicas): the
-          // rotation's resident shard is never reused here.
-          const PackedShard fetched = unpack_shard(window.fetch(shard, p));
-          search_resident(comm, engine, fetched.db, fetched.indexes,
-                          orphan_prepared, orphan_tops);
+          // A remote shard is always re-pulled (dead shards from their
+          // replicas): the rotation's resident shard is never reused here.
+          if (shard == rank)
+            search_resident(comm, engine, local, orphan_prepared, orphan_tops);
+          else
+            search_resident(comm, engine, unpack_shard(window.fetch(shard, p)),
+                            orphan_prepared, orphan_tops);
         }
 
         publish_hits(comm, engine, orphan_tops, all_hits,

@@ -59,7 +59,7 @@ AlgorithmBResult run_algorithm_b(const sim::Runtime& runtime,
 
     // ---- B2: parallel counting sort by parent m/z ----
     comm.trace_mark("B2 mz sort");
-    const SortedShard sorted = parallel_sort_by_mz(comm, local_db);
+    SortedShard sorted = parallel_sort_by_mz(comm, local_db);
     local_db = ProteinDatabase{};  // sorted copy replaces the unsorted shard
     comm.bump("sort_us",
               static_cast<std::uint64_t>(sorted.sort_seconds * 1e6));
@@ -80,12 +80,13 @@ AlgorithmBResult run_algorithm_b(const sim::Runtime& runtime,
     comm.bump("shards_visited", static_cast<std::uint64_t>(group));
 
     // Index the sorted shard once, clipped to the whole query set's
-    // envelope; the restricted ring ships it with the shard bytes (same
+    // envelope, straight into the image the restricted ring ships (same
     // candidate-centric transport as Algorithm A).
-    const ShardIndexes local = detail::build_shard_indexes(
+    const std::vector<char> local_pack = detail::build_shard_image(
         comm, sorted.shard, config,
         detail::query_mass_envelope(engine, queries));
-    const std::vector<char> local_pack = pack_shard(sorted.shard, local);
+    sorted.shard = ProteinDatabase{};  // the image is D_local now
+    const ShardView local = unpack_shard(local_pack);
     // Crash schedules were rejected up front: the window never replicates.
     detail::ShardWindow window(comm, local_pack, p);
     comm.charge_alloc(static_cast<std::size_t>(p) * sizeof(MzBoundary));
@@ -111,14 +112,13 @@ AlgorithmBResult run_algorithm_b(const sim::Runtime& runtime,
       if (next >= 0) window.prefetch(next, t);
 
       if (current == rank) {
-        // Own shard: search the sorted copy and its index in place.
-        detail::search_resident(comm, engine, sorted.shard, local, prepared,
-                                tops);
+        // Own shard: its image, viewed in place.
+        detail::search_resident(comm, engine, local, prepared, tops);
       } else if (current >= 0) {
         // The first remote shard is fetched blocking; later ones were
         // prefetched under the previous step.
-        const PackedShard fetched = unpack_shard(window.resident(current, t));
-        detail::search_resident(comm, engine, fetched.db, fetched.indexes,
+        detail::search_resident(comm, engine,
+                                unpack_shard(window.resident(current, t)),
                                 prepared, tops);
       }
 

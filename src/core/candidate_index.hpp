@@ -24,6 +24,7 @@
 
 #include <cstdint>
 #include <limits>
+#include <string_view>
 #include <vector>
 
 #include "core/config.hpp"
@@ -34,13 +35,31 @@ namespace msp {
 /// One enumerated candidate of a shard: a prefix/suffix (or digested
 /// peptide) of shard protein `protein`, located so the residue view can be
 /// taken without copying.
-struct IndexedCandidate {
+///
+/// Packed: its 21 bytes are exactly one entry of the MSPARIDX image, field
+/// for field, so an image's entry array is viewed in place at whatever
+/// offset it lands (alignment 1; the compiler emits unaligned loads for
+/// the fields) and an index is encoded as one block copy.
+struct [[gnu::packed]] IndexedCandidate {
   double mass = 0.0;          ///< neutral monoisotopic mass (residues + water)
   std::uint32_t protein = 0;  ///< index into the shard's proteins
   std::uint32_t offset = 0;   ///< start position within the parent sequence
   std::uint32_t length = 0;   ///< number of residues
   FragmentEnd end = FragmentEnd::kPrefix;
 };
+static_assert(sizeof(IndexedCandidate) ==
+                  sizeof(double) + 3 * sizeof(std::uint32_t) + 1 &&
+              alignof(IndexedCandidate) == 1);
+
+/// One protein of a shard as the kernel reads it: its id and residues,
+/// borrowed from a ProteinDatabase or from a shard image.
+struct ProteinView {
+  std::string_view id;
+  std::string_view residues;
+};
+
+/// The protein table of `db`, borrowing its strings.
+std::vector<ProteinView> protein_views(const ProteinDatabase& db);
 
 /// The candidate-enumeration parameters an index was built under. An index
 /// is only valid for engines whose SearchConfig agrees on all four — the
@@ -119,11 +138,6 @@ class CandidateIndex {
   const std::vector<IndexedCandidate>& entries() const { return entries_; }
   bool empty() const { return entries_.empty(); }
   std::size_t size() const { return entries_.size(); }
-
-  /// Bytes this index occupies in memory (for simulated memory accounting).
-  std::size_t byte_size() const {
-    return entries_.size() * sizeof(IndexedCandidate);
-  }
 
  private:
   CandidateIndexParams params_;

@@ -12,12 +12,11 @@ void MassWindowCandidateSource::collect(
     std::size_t ordinal_hi, std::vector<std::uint32_t>& out,
     ShardSearchStats& stats) {
   out.clear();
-  const std::vector<IndexedCandidate>& entries = index_.entries();
   for (std::size_t c = ordinal_lo; c < ordinal_hi; ++c) {
-    const IndexedCandidate& entry = entries[c];
-    const Protein& protein = shard_.proteins[entry.protein];
+    const IndexedCandidate& entry = shard_.entries[c];
     const std::string_view peptide =
-        std::string_view(protein.residues).substr(entry.offset, entry.length);
+        shard_.proteins[entry.protein].residues.substr(entry.offset,
+                                                       entry.length);
     build_peptide_ladder(peptide, context.binned().bin_width(), workspace_);
     ++stats.ions_built;
     const std::size_t votes =
@@ -39,13 +38,13 @@ void FragmentIndexCandidateSource::collect(
   const auto lo = static_cast<std::uint32_t>(ordinal_lo);
   const auto hi = static_cast<std::uint32_t>(ordinal_hi);
   for (const std::uint32_t bin : occupied_bins) {
-    const std::span<const std::uint32_t> list = fragment_.postings(bin);
+    const wire::UnalignedSpan<std::uint32_t> list = fragment_.postings(bin);
     // Posting lists are ordinal-ascending (= mass-ascending), so the
-    // precursor window restricts each to one contiguous tail slice.
-    auto it = std::lower_bound(list.begin(), list.end(), lo);
-    for (; it != list.end() && *it < hi; ++it) {
+    // precursor window restricts each to one contiguous slice.
+    for (std::size_t i = list.lower_bound(lo); i < list.size(); ++i) {
+      const std::uint32_t ordinal = list[i];
+      if (ordinal >= hi) break;
       ++stats.postings_scanned;
-      const std::uint32_t ordinal = *it;
       if (votes_[ordinal] == 0) touched_.push_back(ordinal);
       ++votes_[ordinal];
     }

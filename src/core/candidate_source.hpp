@@ -13,7 +13,8 @@
 //    ablation baseline, and the fallback when the caller supplies no
 //    fragment index (the serial engine).
 //  - FragmentIndexCandidateSource: walks the query's occupied bins through
-//    the shard's FragmentIndex postings, accumulating per-candidate vote
+//    the shard's fragment-index postings (a FragmentView, read where they
+//    live), accumulating per-candidate vote
 //    counts without touching non-matching candidates at all.
 //
 // Both compute the *identical* integer votes (shared_peak_count over the
@@ -31,6 +32,7 @@
 #include "core/candidate_index.hpp"
 #include "core/fragment_index.hpp"
 #include "core/search_engine.hpp"
+#include "core/shard_view.hpp"
 #include "mass/peptide.hpp"
 #include "scoring/likelihood.hpp"
 #include "spectra/theoretical.hpp"
@@ -47,7 +49,7 @@ class CandidateSource {
   virtual bool ions_prebuilt() const = 0;
 
   /// Gather into `out` (cleared first) the ordinals — ascending, indexing
-  /// the CandidateIndex entries — of candidates in the ordinal window
+  /// the shard's entries — of candidates in the ordinal window
   /// [ordinal_lo, ordinal_hi) whose matched-ion count against `context`
   /// reaches the vote gate. `occupied_bins` lists the bins of
   /// context.binned() with nonzero intensity, ascending (only the
@@ -64,10 +66,8 @@ class CandidateSource {
 /// source expensive), count matched ions directly, gate.
 class MassWindowCandidateSource final : public CandidateSource {
  public:
-  MassWindowCandidateSource(const ProteinDatabase& shard,
-                            const CandidateIndex& index,
-                            std::size_t vote_gate)
-      : shard_(shard), index_(index), vote_gate_(vote_gate) {}
+  MassWindowCandidateSource(const ShardView& shard, std::size_t vote_gate)
+      : shard_(shard), vote_gate_(vote_gate) {}
 
   bool ions_prebuilt() const override { return true; }
   void collect(const QueryContext& context,
@@ -77,8 +77,7 @@ class MassWindowCandidateSource final : public CandidateSource {
                ShardSearchStats& stats) override;
 
  private:
-  const ProteinDatabase& shard_;
-  const CandidateIndex& index_;
+  const ShardView& shard_;
   std::size_t vote_gate_;
   FragmentIonWorkspace workspace_;
 };
@@ -91,11 +90,11 @@ class MassWindowCandidateSource final : public CandidateSource {
 /// not ion builds.
 class FragmentIndexCandidateSource final : public CandidateSource {
  public:
-  FragmentIndexCandidateSource(const FragmentIndex& fragment,
+  FragmentIndexCandidateSource(const FragmentView& fragment,
                                std::size_t vote_gate)
       : fragment_(fragment),
         vote_gate_(vote_gate),
-        votes_(fragment.candidate_count(), 0) {}
+        votes_(fragment.candidate_count, 0) {}
 
   bool ions_prebuilt() const override { return false; }
   void collect(const QueryContext& context,
@@ -105,7 +104,7 @@ class FragmentIndexCandidateSource final : public CandidateSource {
                ShardSearchStats& stats) override;
 
  private:
-  const FragmentIndex& fragment_;
+  const FragmentView& fragment_;
   std::size_t vote_gate_;
   std::vector<std::uint32_t> votes_;     ///< per-ordinal scratch, reset per call
   std::vector<std::uint32_t> touched_;   ///< ordinals with nonzero votes

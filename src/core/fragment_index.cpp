@@ -22,92 +22,159 @@ constexpr std::uint64_t kFragmentIndexMagic = 0x4D53504152465247ull;
 // duplicate postings and are rejected by the shared version check.
 constexpr std::uint32_t kFragmentIndexVersion = 2;
 
-}  // namespace
+/// Every entry's ladder bins — one per *distinct* (candidate, bin), the
+/// same first-hit-wins dedup the IonLadder applies — candidate-major in one
+/// exactly reserved array, with each entry's end offset and the CSR row
+/// starts the bins scatter to. Binning through build_peptide_ladder (the
+/// exact ladder the kernels score) keeps index votes and the deduplicated
+/// shared_peak_count in lockstep, integer-for-integer.
+struct LadderBins {
+  std::vector<std::uint32_t> bins;
+  std::vector<std::uint64_t> ends;
+  std::vector<std::uint64_t> starts;  ///< max bin + 2; empty without entries
+};
 
-FragmentIndex FragmentIndex::build(const ProteinDatabase& shard,
-                                   const CandidateIndex& index,
-                                   double bin_width) {
+LadderBins ladder_bins(std::span<const ProteinView> proteins,
+                       std::span<const IndexedCandidate> entries,
+                       double bin_width) {
   MSP_CHECK_MSG(bin_width > 0.0 && std::isfinite(bin_width),
                 "fragment index bin width must be positive and finite");
-  FragmentIndex out;
-  out.params_ = FragmentIndexParams{index.params(), bin_width};
-  out.candidate_count_ = index.size();
-  if (index.empty()) return out;
-
-  // The ladder bins of every entry — one per *distinct* (candidate, bin),
-  // the same first-hit-wins dedup the IonLadder applies — candidate-major
-  // in one exactly reserved array, with each entry's end offset, so each
-  // bin's postings come out strictly ordinal-ascending under the stable
-  // counting scatter below. Binning through build_peptide_ladder (the exact
-  // ladder the kernels score) keeps index votes and the deduplicated
-  // shared_peak_count in lockstep, integer-for-integer.
-  const std::vector<IndexedCandidate>& entries = index.entries();
+  LadderBins out;
+  if (entries.empty()) return out;
   std::size_t ion_bound = 0;
   for (const IndexedCandidate& entry : entries)
     ion_bound += 2 * (static_cast<std::size_t>(entry.length) - 1);
-  std::vector<std::uint32_t> bins;
-  bins.reserve(ion_bound);
-  std::vector<std::uint64_t> ends(entries.size());
+  out.bins.reserve(ion_bound);
+  out.ends.resize(entries.size());
   FragmentIonWorkspace workspace;
   std::uint32_t max_bin = 0;
   for (std::size_t e = 0; e < entries.size(); ++e) {
     const IndexedCandidate& entry = entries[e];
-    const Protein& protein = shard.proteins[entry.protein];
     const std::string_view peptide =
-        std::string_view(protein.residues).substr(entry.offset, entry.length);
+        proteins[entry.protein].residues.substr(entry.offset, entry.length);
     const IonLadder& ladder = build_peptide_ladder(peptide, bin_width,
                                                    workspace);
     for (std::size_t i = 0; i < ladder.size; ++i) {
       const auto bin = static_cast<std::uint32_t>(ladder.bins[i]);
       max_bin = std::max(max_bin, bin);
-      bins.push_back(bin);
+      out.bins.push_back(bin);
     }
-    ends[e] = bins.size();
+    out.ends[e] = out.bins.size();
   }
-
-  out.starts_.assign(static_cast<std::size_t>(max_bin) + 2, 0);
-  for (const std::uint32_t bin : bins) ++out.starts_[bin + 1];
-  for (std::size_t b = 1; b < out.starts_.size(); ++b)
-    out.starts_[b] += out.starts_[b - 1];
-  out.postings_.resize(bins.size());
-  std::vector<std::uint64_t> cursor(out.starts_.begin(),
-                                    out.starts_.end() - 1);
-  std::size_t i = 0;
-  for (std::size_t e = 0; e < entries.size(); ++e)
-    for (; i < ends[e]; ++i)
-      out.postings_[cursor[bins[i]]++] = static_cast<std::uint32_t>(e);
+  out.starts.assign(static_cast<std::size_t>(max_bin) + 2, 0);
+  for (const std::uint32_t bin : out.bins) ++out.starts[bin + 1];
+  for (std::size_t b = 1; b < out.starts.size(); ++b)
+    out.starts[b] += out.starts[b - 1];
   return out;
 }
 
-void put_fragment_index(wire::Writer& writer, const FragmentIndex& index) {
+/// The stable counting scatter: place(position, ordinal) for every
+/// posting, entries in index order, so each bin's postings come out
+/// strictly ordinal-ascending.
+template <typename Place>
+void scatter(const LadderBins& csr, const Place& place) {
+  if (csr.starts.empty()) return;
+  std::vector<std::uint64_t> cursor(csr.starts.begin(), csr.starts.end() - 1);
+  std::size_t i = 0;
+  for (std::size_t e = 0; e < csr.ends.size(); ++e)
+    for (; i < csr.ends[e]; ++i)
+      place(cursor[csr.bins[i]]++, static_cast<std::uint32_t>(e));
+}
+
+/// The record up to its postings: header, parameters, candidate count, bin
+/// and posting counts, then one u32 count per bin.
+void put_fragment_head(wire::Writer& writer, const FragmentIndexParams& params,
+                       std::uint64_t candidates,
+                       std::span<const std::uint64_t> starts) {
   wire::put_record_header(writer, kFragmentIndexMagic, kFragmentIndexVersion);
-  const CandidateIndexParams& params = index.params().index_params;
-  writer.put_u8(static_cast<std::uint8_t>(params.mode));
-  writer.put_u32(params.min_length);
-  writer.put_u32(params.max_length);
-  writer.put_u32(params.missed_cleavages);
-  writer.put_double(index.params().bin_width);
-  writer.put_u64(index.candidate_count());
-  const std::uint32_t bins = index.bin_count();
+  writer.put_u8(static_cast<std::uint8_t>(params.index_params.mode));
+  writer.put_u32(params.index_params.min_length);
+  writer.put_u32(params.index_params.max_length);
+  writer.put_u32(params.index_params.missed_cleavages);
+  writer.put_double(params.bin_width);
+  writer.put_u64(candidates);
+  const std::size_t bins = starts.empty() ? 0 : starts.size() - 1;
+  const std::uint64_t postings = starts.empty() ? 0 : starts.back();
   writer.put_u64(bins);
-  writer.put_u64(index.posting_count());
-  writer.reserve((static_cast<std::size_t>(bins) + index.posting_count()) *
-                 sizeof(std::uint32_t));
-  for (std::uint32_t b = 0; b < bins; ++b)
-    writer.put_u32(static_cast<std::uint32_t>(index.postings(b).size()));
-  for (std::uint32_t b = 0; b < bins; ++b)
-    for (const std::uint32_t ordinal : index.postings(b))
-      writer.put_u32(ordinal);
+  writer.put_u64(postings);
+  std::vector<std::uint32_t> counts(bins);
+  for (std::size_t b = 0; b < bins; ++b)
+    counts[b] = static_cast<std::uint32_t>(starts[b + 1] - starts[b]);
+  writer.reserve((bins + postings) * sizeof(std::uint32_t));
+  writer.put_array(std::span<const std::uint32_t>(counts));
+}
+
+}  // namespace
+
+bool operator==(const FragmentView& a, const FragmentView& b) {
+  if (!(a.params == b.params) || a.candidate_count != b.candidate_count ||
+      a.starts != b.starts || a.ordinals.size() != b.ordinals.size())
+    return false;
+  for (std::size_t i = 0; i < a.ordinals.size(); ++i)
+    if (a.ordinals[i] != b.ordinals[i]) return false;
+  return true;
+}
+
+FragmentIndex FragmentIndex::build(const ProteinDatabase& shard,
+                                   const CandidateIndex& index,
+                                   double bin_width) {
+  return build(protein_views(shard), index.entries(), index.params(),
+               bin_width);
+}
+
+FragmentIndex FragmentIndex::build(std::span<const ProteinView> proteins,
+                                   std::span<const IndexedCandidate> entries,
+                                   const CandidateIndexParams& params,
+                                   double bin_width) {
+  LadderBins csr = ladder_bins(proteins, entries, bin_width);
+  FragmentIndex out;
+  out.params_ = FragmentIndexParams{params, bin_width};
+  out.candidate_count_ = entries.size();
+  out.postings_.resize(csr.bins.size());
+  scatter(csr, [&out](std::uint64_t position, std::uint32_t ordinal) {
+    out.postings_[position] = ordinal;
+  });
+  out.starts_ = std::move(csr.starts);
+  return out;
+}
+
+FragmentView FragmentIndex::view() const {
+  return FragmentView{params_, candidate_count_, starts_,
+                      wire::UnalignedSpan<std::uint32_t>::of(postings_)};
+}
+
+void put_fragment_index(wire::Writer& writer, const FragmentIndex& index) {
+  put_fragment_head(writer, index.params_, index.candidate_count_,
+                    index.starts_);
+  writer.put_array(std::span<const std::uint32_t>(index.postings_));
+}
+
+std::uint64_t put_fragment_index(wire::Writer& writer,
+                                 std::span<const ProteinView> proteins,
+                                 std::span<const IndexedCandidate> entries,
+                                 const CandidateIndexParams& params,
+                                 double bin_width) {
+  const LadderBins csr = ladder_bins(proteins, entries, bin_width);
+  put_fragment_head(writer, FragmentIndexParams{params, bin_width},
+                    entries.size(), csr.starts);
+  const std::size_t first =
+      writer.put_zeros(csr.bins.size() * sizeof(std::uint32_t));
+  char* const postings = writer.data() + first;
+  scatter(csr, [postings](std::uint64_t position, std::uint32_t ordinal) {
+    wire::store(postings + position * sizeof(std::uint32_t), ordinal);
+  });
+  return csr.bins.size();
 }
 
 bool peek_fragment_index(wire::Reader& reader) {
   return wire::peek_record(reader, kFragmentIndexMagic);
 }
 
-FragmentIndex get_fragment_index(wire::Reader& reader) {
+FragmentView get_fragment_view(wire::Reader& reader) {
   wire::get_record_header(reader, kFragmentIndexMagic, kFragmentIndexVersion,
                           "fragment index");
-  FragmentIndexParams params;
+  FragmentView view;
+  FragmentIndexParams& params = view.params;
   params.index_params.mode = static_cast<CandidateMode>(reader.get_u8());
   params.index_params.min_length = reader.get_u32();
   params.index_params.max_length = reader.get_u32();
@@ -116,6 +183,7 @@ FragmentIndex get_fragment_index(wire::Reader& reader) {
   if (!(params.bin_width > 0.0) || !std::isfinite(params.bin_width))
     throw IoError("fragment index: bin width must be positive and finite");
   const std::uint64_t candidates = reader.get_u64();
+  view.candidate_count = candidates;
   const std::uint64_t bins = reader.get_u64();
   const std::uint64_t posting_count = reader.get_u64();
   // Size fields are untrusted: bound them by the bytes actually present
@@ -125,13 +193,15 @@ FragmentIndex get_fragment_index(wire::Reader& reader) {
   if (posting_count > reader.remaining() / sizeof(std::uint32_t))
     throw IoError("fragment index: posting count exceeds payload");
 
-  std::vector<std::uint64_t> starts;
-  std::vector<std::uint32_t> postings;
+  std::vector<std::uint64_t>& starts = view.starts;
   if (bins > 0) {
-    starts.reserve(bins + 1);
-    starts.push_back(0);
+    const wire::UnalignedSpan<std::uint32_t> counts =
+        wire::unaligned_view<std::uint32_t>(
+            reader.get_bytes(bins * sizeof(std::uint32_t)),
+            "fragment index counts");
+    starts.resize(bins + 1);
     for (std::uint64_t b = 0; b < bins; ++b)
-      starts.push_back(starts.back() + reader.get_u32());
+      starts[b + 1] = starts[b] + counts[b];
     if (starts.back() != posting_count)
       throw IoError("fragment index: per-bin counts sum to " +
                     std::to_string(starts.back()) + ", expected " +
@@ -139,26 +209,41 @@ FragmentIndex get_fragment_index(wire::Reader& reader) {
   } else if (posting_count != 0) {
     throw IoError("fragment index: postings without bins");
   }
-  postings.reserve(posting_count);
-  for (std::uint64_t i = 0; i < posting_count; ++i) {
-    const std::uint32_t ordinal = reader.get_u32();
-    if (ordinal >= candidates)
-      throw IoError("fragment index: posting ordinal " +
-                    std::to_string(ordinal) + " outside candidate range of " +
-                    std::to_string(candidates));
-    postings.push_back(ordinal);
-  }
-  for (std::uint64_t b = 0; b < bins; ++b)
+  const wire::UnalignedSpan<std::uint32_t> ordinals =
+      wire::unaligned_view<std::uint32_t>(
+          reader.get_bytes(posting_count * sizeof(std::uint32_t)),
+          "fragment index postings");
+  // Each bin's postings strictly ascending, so its last one is its
+  // largest and bounds all of them by the candidate count. The ascent
+  // test accumulates without branching (one pass, vectorizable).
+  for (std::uint64_t b = 0; b < bins; ++b) {
+    if (starts[b] == starts[b + 1]) continue;
+    unsigned descents = 0;
     for (std::uint64_t i = starts[b] + 1; i < starts[b + 1]; ++i)
-      if (postings[i - 1] >= postings[i])
-        throw IoError("fragment index: postings must be strictly "
-                      "ordinal-ascending within a bin (a duplicate posting "
-                      "is a duplicate-bin double vote)");
+      descents |= static_cast<unsigned>(ordinals[i - 1] >= ordinals[i]);
+    if (descents != 0)
+      throw IoError("fragment index: postings must be strictly "
+                    "ordinal-ascending within a bin (a duplicate posting "
+                    "is a duplicate-bin double vote)");
+    const std::uint32_t largest = ordinals[starts[b + 1] - 1];
+    if (largest >= candidates)
+      throw IoError("fragment index: posting ordinal " +
+                    std::to_string(largest) + " outside candidate range of " +
+                    std::to_string(candidates));
+  }
+  view.ordinals = ordinals;
+  return view;
+}
+
+FragmentIndex get_fragment_index(wire::Reader& reader) {
+  FragmentView view = get_fragment_view(reader);
   FragmentIndex out;
-  out.params_ = params;
-  out.candidate_count_ = candidates;
-  out.starts_ = std::move(starts);
-  out.postings_ = std::move(postings);
+  out.params_ = view.params;
+  out.candidate_count_ = view.candidate_count;
+  out.starts_ = std::move(view.starts);
+  out.postings_.reserve(view.ordinals.size());
+  for (std::size_t i = 0; i < view.ordinals.size(); ++i)
+    out.postings_.push_back(view.ordinals[i]);
   return out;
 }
 

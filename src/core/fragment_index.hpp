@@ -18,7 +18,8 @@
 // candidate set: bit-identical hits by construction (DESIGN.md §5i).
 //
 // The index ships in the shard image as a versioned magic-tagged record
-// ("MSPARFRG") behind the CandidateIndex, whenever open search uses one.
+// ("MSPARFRG") behind the CandidateIndex, whenever open search uses one,
+// and the kernel reads it there, through a FragmentView.
 #pragma once
 
 #include <cstdint>
@@ -26,14 +27,10 @@
 #include <vector>
 
 #include "core/candidate_index.hpp"
+#include "io/wire_record.hpp"
 #include "mass/peptide.hpp"
 
 namespace msp {
-
-namespace wire {
-class Writer;
-class Reader;
-}  // namespace wire
 
 /// The parameters a fragment index was built under. Valid only for engines
 /// whose SearchConfig agrees on the enumeration parameters AND the bin
@@ -45,6 +42,32 @@ struct FragmentIndexParams {
 
   friend bool operator==(const FragmentIndexParams& a,
                          const FragmentIndexParams& b) = default;
+};
+
+/// A fragment index as the kernel reads it. The posting ordinals are
+/// borrowed — from a FragmentIndex, or in place from a shard image, where
+/// they sit at whatever alignment the image's layout leaves them — and the
+/// CSR row starts are derived (an image stores per-bin counts).
+struct FragmentView {
+  FragmentIndexParams params;
+  std::uint64_t candidate_count = 0;    ///< ordinal bound
+  std::vector<std::uint64_t> starts;    ///< CSR row starts, bin_count + 1
+  wire::UnalignedSpan<std::uint32_t> ordinals;  ///< every posting, by bin
+
+  std::uint32_t bin_count() const {
+    return starts.empty() ? 0 : static_cast<std::uint32_t>(starts.size() - 1);
+  }
+  std::size_t posting_count() const { return ordinals.size(); }
+
+  /// The postings of `bin`, strictly ordinal-ascending; empty for
+  /// out-of-grid bins.
+  wire::UnalignedSpan<std::uint32_t> postings(std::uint32_t bin) const {
+    if (bin >= bin_count()) return {};
+    return ordinals.subspan(starts[bin], starts[bin + 1] - starts[bin]);
+  }
+
+  /// Same parameters, starts and ordinals.
+  friend bool operator==(const FragmentView& a, const FragmentView& b);
 };
 
 /// CSR postings over global ion bins for one shard's CandidateIndex.
@@ -61,6 +84,12 @@ class FragmentIndex {
   /// exactly as the deduplicated shared_peak_count counts them.
   static FragmentIndex build(const ProteinDatabase& shard,
                              const CandidateIndex& index, double bin_width);
+  /// The same build over a shard's protein table and mass-sorted entries
+  /// (built under `params`), wherever they live.
+  static FragmentIndex build(std::span<const ProteinView> proteins,
+                             std::span<const IndexedCandidate> entries,
+                             const CandidateIndexParams& params,
+                             double bin_width);
 
   const FragmentIndexParams& params() const { return params_; }
   /// Size of the CandidateIndex this was built over (ordinal bound).
@@ -81,19 +110,16 @@ class FragmentIndex {
         .subspan(starts_[bin], starts_[bin + 1] - starts_[bin]);
   }
 
-  /// Bytes this index occupies in memory (simulated memory accounting).
-  std::size_t byte_size() const {
-    return starts_.size() * sizeof(std::uint64_t) +
-           postings_.size() * sizeof(std::uint32_t);
-  }
+  /// This index as the kernel reads it, borrowing its postings.
+  FragmentView view() const;
 
   friend bool operator==(const FragmentIndex& a,
                          const FragmentIndex& b) = default;
 
  private:
-  // The one way to build an index from outside input: it rejects every CSR
-  // violation before filling the fields.
   friend FragmentIndex get_fragment_index(wire::Reader& reader);
+  friend void put_fragment_index(wire::Writer& writer,
+                                 const FragmentIndex& index);
 
   FragmentIndexParams params_;
   std::uint64_t candidate_count_ = 0;
@@ -104,14 +130,27 @@ class FragmentIndex {
 /// Append `index` as a versioned, magic-tagged "MSPARFRG" record.
 void put_fragment_index(wire::Writer& writer, const FragmentIndex& index);
 
+/// Append the record put_fragment_index(writer, FragmentIndex::build(
+/// proteins, entries, params, bin_width)) writes, byte for byte, with the
+/// postings scattered straight into the writer: no FragmentIndex is built.
+/// Returns the posting count.
+std::uint64_t put_fragment_index(wire::Writer& writer,
+                                 std::span<const ProteinView> proteins,
+                                 std::span<const IndexedCandidate> entries,
+                                 const CandidateIndexParams& params,
+                                 double bin_width);
+
 /// True when the reader is positioned at a fragment-index record's magic.
 bool peek_fragment_index(wire::Reader& reader);
 
-/// Parse a fragment-index record, validating magic, version, and the CSR
-/// invariants (positive finite bin width, per-bin counts summing to the
+/// Validate a fragment-index record where it sits: magic, version, and the
+/// CSR invariants (positive finite bin width, per-bin counts summing to the
 /// posting count, ordinals inside the candidate range, strictly
 /// ordinal-ascending posting lists). Throws IoError with a specific message
-/// on any violation.
+/// on any violation. The view's ordinals borrow the reader's payload.
+FragmentView get_fragment_view(wire::Reader& reader);
+
+/// get_fragment_view's checks, then an owned copy of the record.
 FragmentIndex get_fragment_index(wire::Reader& reader);
 
 }  // namespace msp

@@ -72,11 +72,11 @@ ParallelRunResult run_master_worker(const sim::Runtime& runtime,
 
     // Worker-side search of one query batch against the full database. The
     // worker's indexes are built once at load time, clipped to the whole
-    // query set's envelope, and reused by every batch it is dealt (the
-    // fragment index never ships: workers hold the whole database).
-    auto process_batch = [&](const ProteinDatabase& db,
-                             const ShardIndexes& indexes,
-                             std::size_t begin, std::size_t count) {
+    // query set's envelope, into an image it scores in place for every
+    // batch it is dealt (the image never ships: workers hold the whole
+    // database).
+    auto process_batch = [&](const ShardView& shard, std::size_t begin,
+                             std::size_t count) {
       comm.trace_mark("batch [" + std::to_string(begin) + ", " +
                       std::to_string(begin + count) + ")");
       const std::span<const Spectrum> batch(queries.data() + begin, count);
@@ -84,7 +84,7 @@ ParallelRunResult run_master_worker(const sim::Runtime& runtime,
       comm.clock().charge_compute(static_cast<double>(count) *
                                   cost.seconds_per_query_prep);
       std::vector<TopK<Hit>> tops = engine.make_tops(count);
-      detail::search_resident(comm, engine, db, indexes, prepared, tops);
+      detail::search_resident(comm, engine, shard, prepared, tops);
       detail::publish_hits(comm, engine, tops, all_hits, begin);
     };
 
@@ -102,14 +102,14 @@ ParallelRunResult run_master_worker(const sim::Runtime& runtime,
 
     if (p == 1) {
       // Uni-worker degenerate case: serial MSPolygraph.
-      const ProteinDatabase db = load_full_database();
-      const ShardIndexes indexes =
-          detail::build_shard_indexes(comm, db, config, envelope);
+      const std::vector<char> image = detail::build_shard_image(
+          comm, load_full_database(), config, envelope);
+      const ShardView shard = unpack_shard(image);
       for (std::size_t begin = 0; begin < queries.size();
            begin += options.batch_size) {
         const std::size_t count =
             std::min(options.batch_size, queries.size() - begin);
-        process_batch(db, indexes, begin, count);
+        process_batch(shard, begin, count);
       }
       return;
     }
@@ -191,9 +191,9 @@ ParallelRunResult run_master_worker(const sim::Runtime& runtime,
       // the worker receives its crash-step'th batch: it fail-stops without
       // processing and notifies the master.
       const int my_crash_batch = faults.crash_step(comm.global_rank());
-      const ProteinDatabase db = load_full_database();
-      const ShardIndexes indexes =
-          detail::build_shard_indexes(comm, db, config, envelope);
+      const std::vector<char> image = detail::build_shard_image(
+          comm, load_full_database(), config, envelope);
+      const ShardView shard = unpack_shard(image);
       int batches_received = 0;
       while (true) {
         comm.send(0, kTagReady, {});
@@ -214,7 +214,7 @@ ParallelRunResult run_master_worker(const sim::Runtime& runtime,
         }
         ++batches_received;
         const auto [begin, count] = decode_batch(reply.payload);
-        process_batch(db, indexes, begin, count);
+        process_batch(shard, begin, count);
       }
     }
   });

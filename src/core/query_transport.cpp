@@ -37,11 +37,12 @@ ParallelRunResult run_query_transport(const sim::Runtime& runtime,
       db_bytes += protein.residues.size() + protein.id.size();
     comm.charge_alloc(db_bytes);
     // The static shard is indexed once, clipped to the whole query set's
-    // envelope, and reused for all p query batches — query transport
-    // benefits most, since its shard never moves (in open mode its fragment
-    // index never ships either: queries move).
-    const ShardIndexes local = detail::build_shard_indexes(
+    // envelope, into an image scored in place for all p query batches —
+    // query transport benefits most, since its shard never moves (the image
+    // never ships either: queries move).
+    const std::vector<char> local_image = detail::build_shard_image(
         comm, local_db, config, detail::query_mass_envelope(engine, queries));
+    const ShardView local = unpack_shard(local_image);
 
     // Local query block, exposed for ring transport as packed bytes.
     const QueryRange block = query_block(queries.size(), rank, p);
@@ -73,7 +74,7 @@ ParallelRunResult run_query_transport(const sim::Runtime& runtime,
       comm.clock().charge_compute(static_cast<double>(batch.size()) *
                                   cost.seconds_per_query_prep);
       std::vector<TopK<Hit>> tops = engine.make_tops(batch.size());
-      detail::search_resident(comm, engine, local_db, local, prepared, tops);
+      detail::search_resident(comm, engine, local, prepared, tops);
       partial[static_cast<std::size_t>(j)] = engine.finalize(tops);
       window.fence();
     }

@@ -46,19 +46,20 @@ MassEnvelope query_mass_envelope(const SearchEngine& engine,
                                  std::span<const Spectrum> queries);
 
 /// Build `db`'s indexes under `config`, clipped to `envelope` — the
-/// envelope of every query any rank will search this shard with — charging
-/// one seconds_per_mz per candidate entry and per fragment posting and
-/// bumping the `index_entries` and `fragment_postings` counters.
-ShardIndexes build_shard_indexes(sim::Comm& comm, const ProteinDatabase& db,
-                                 const SearchConfig& config,
-                                 const MassEnvelope& envelope);
+/// envelope of every query any rank will search this shard with — straight
+/// into its shard image (pack_shard), charging one seconds_per_mz per
+/// candidate entry and per fragment posting and bumping the
+/// `index_entries` and `fragment_postings` counters. The image is the only
+/// copy of the indexes a rank keeps: it scores its own shard through
+/// unpack_shard(image), exactly as it scores a fetched one.
+std::vector<char> build_shard_image(sim::Comm& comm, const ProteinDatabase& db,
+                                    const SearchConfig& config,
+                                    const MassEnvelope& envelope);
 
-/// A2: score `prepared` against the resident shard `db` with its
-/// `indexes` — the rank's own or a fetched pack's — and book the kernel
-/// work.
+/// A2: score `prepared` against the resident `shard` — the rank's own
+/// image or a fetched one, viewed in place — and book the kernel work.
 void search_resident(sim::Comm& comm, const SearchEngine& engine,
-                     const ProteinDatabase& db, const ShardIndexes& indexes,
-                     const PreparedQueries& prepared,
+                     const ShardView& shard, const PreparedQueries& prepared,
                      std::vector<TopK<Hit>>& tops);
 
 /// A3: finalize `tops` into all_hits[first_slot + q], counting the open
@@ -83,8 +84,10 @@ void publish_hits(sim::Comm& comm, const SearchEngine& engine,
 /// after the owner died there is served by its successor — the same bytes
 /// at the same offsets, so range fetches redirect unchanged. Throws
 /// FaultUnrecoverable when the schedule kills every rank, or a shard's
-/// owner and replica holder both. Returned bytes stay valid until the next
-/// call that writes the same buffer.
+/// owner and replica holder both. Returned bytes — and every ShardView of
+/// them — stay valid until the next call that writes or swaps the same
+/// buffer: resident() bytes until settle(), fetch() bytes until the next
+/// prefetch() or fetch().
 class ShardWindow {
  public:
   ShardWindow(sim::Comm& comm, std::span<const char> local_shard, int horizon);

@@ -153,12 +153,10 @@ struct CandidateView {
   double mass;
 };
 
-CandidateView view_of(const ProteinDatabase& shard,
-                      const IndexedCandidate& entry) {
-  const Protein& protein = shard.proteins[entry.protein];
-  const std::string_view residues = protein.residues;
-  return {residues.substr(entry.offset, entry.length), protein.id, entry.offset,
-          entry.length, entry.end, entry.mass};
+CandidateView view_of(const ShardView& shard, const IndexedCandidate& entry) {
+  const ProteinView& protein = shard.proteins[entry.protein];
+  return {protein.residues.substr(entry.offset, entry.length), protein.id,
+          entry.offset, entry.length, entry.end, entry.mass};
 }
 
 CandidateView view_of(const CandidateRecord& record) {
@@ -393,41 +391,45 @@ ShardSearchStats merge_join(const SearchEngine& engine,
 /// hypothesis windows [m − window_below, m + window_above] of the index
 /// (one contiguous ordinal range, since entries are mass-ascending), a
 /// CandidateSource gates the window down to candidates with enough matched
-/// ions, and only survivors are fully scored. `index` has already been
-/// validated (or built) by the caller; the hypothesis range fans out.
+/// ions, and only survivors are fully scored. `shard`'s entries have
+/// already been checked against the config by the caller; the hypothesis
+/// range fans out.
 ShardSearchStats search_open(const SearchEngine& engine,
-                             const ProteinDatabase& shard,
+                             const ShardView& shard,
                              const PreparedQueries& queries,
                              std::span<TopK<Hit>> tops,
-                             std::vector<std::uint64_t>* per_query_candidates,
-                             const CandidateIndex& index,
-                             const FragmentIndex* fragment) {
+                             std::vector<std::uint64_t>* per_query_candidates) {
   const SearchConfig& config = engine.config();
 
-  // Source selection: kAuto uses the supplied fragment index when present
-  // (the serial engine supplies none — exhaustive fallback);
+  // Source selection: kAuto uses the shard's fragment index when it has
+  // one (the serial engine supplies none — exhaustive fallback);
   // kFragmentIndex builds one in place when absent; kMassWindow forces
   // exhaustive enumeration.
+  const FragmentView* fragment =
+      shard.fragment.has_value() ? &*shard.fragment : nullptr;
   FragmentIndex local_fragment;
+  FragmentView local_view;
   if (config.candidate_source == CandidateSourceKind::kMassWindow) {
     fragment = nullptr;
   } else if (fragment == nullptr &&
              config.candidate_source == CandidateSourceKind::kFragmentIndex) {
-    local_fragment = FragmentIndex::build(shard, index, config.bin_width);
-    fragment = &local_fragment;
+    local_fragment = FragmentIndex::build(shard.proteins, shard.entries,
+                                          shard.params, config.bin_width);
+    local_view = local_fragment.view();
+    fragment = &local_view;
   }
   if (fragment != nullptr) {
     MSP_CHECK_MSG(
-        fragment->params() ==
-            (FragmentIndexParams{index.params(), config.bin_width}),
+        fragment->params ==
+            (FragmentIndexParams{shard.params, config.bin_width}),
         "fragment index was built under different parameters than this "
         "engine's config");
-    MSP_CHECK_MSG(fragment->candidate_count() == index.size(),
+    MSP_CHECK_MSG(fragment->candidate_count == shard.entries.size(),
                   "fragment index does not cover this candidate index");
   }
 
   const std::size_t hypotheses = queries.sorted_masses.size();
-  if (hypotheses == 0 || index.empty()) return {};
+  if (hypotheses == 0 || shard.entries.empty()) return {};
 
   // The query-side half of the inverted lookup, shared read-only across the
   // fan-out. Skipped entirely on the exhaustive path.
@@ -440,7 +442,7 @@ ShardSearchStats search_open(const SearchEngine& engine,
 
   const double below = config.window_below();
   const double above = config.window_above();
-  const std::vector<IndexedCandidate>& entries = index.entries();
+  const std::span<const IndexedCandidate> entries = shard.entries;
   const std::vector<double>& sorted = queries.sorted_masses;
   const auto entry_below = [](const IndexedCandidate& entry, double mass) {
     return entry.mass < mass;
@@ -454,7 +456,7 @@ ShardSearchStats search_open(const SearchEngine& engine,
                          ShardSearchStats& stats,
                          std::vector<std::uint64_t>* per_query) {
     // Per-thread source scratch: vote accumulators must not be shared.
-    MassWindowCandidateSource window_source(shard, index, config.vote_gate());
+    MassWindowCandidateSource window_source(shard, config.vote_gate());
     std::optional<FragmentIndexCandidateSource> index_source;
     if (fragment != nullptr)
       index_source.emplace(*fragment, config.vote_gate());
@@ -513,36 +515,48 @@ ShardSearchStats SearchEngine::search_shard(
   MSP_CHECK_MSG(tops.size() == queries.size(),
                 "tops arity must match query arity");
   if (queries.size() == 0 || shard.proteins.empty()) return {};
+  CandidateIndex local;
+  if (index == nullptr) {
+    // Clipped to the envelope these queries need: it holds every
+    // candidate any kernel path can score.
+    local = CandidateIndex::build(
+        shard, config_,
+        MassEnvelope{queries.min_mass(), queries.max_mass(),
+                     config_.window_below(), config_.window_above()});
+    index = &local;
+  }
+  return search_shard(ShardView::of(shard, *index, fragment), queries, tops,
+                      per_query_candidates);
+}
 
-  // The envelope these queries need: an index clipped for it holds every
+ShardSearchStats SearchEngine::search_shard(
+    const ShardView& shard, const PreparedQueries& queries,
+    std::span<TopK<Hit>> tops,
+    std::vector<std::uint64_t>* per_query_candidates) const {
+  MSP_CHECK_MSG(tops.size() == queries.size(),
+                "tops arity must match query arity");
+  if (queries.size() == 0 || shard.proteins.empty()) return {};
+
+  // The envelope these queries need: entries clipped for it hold every
   // candidate any kernel path below can score.
   const MassEnvelope needed{queries.min_mass(), queries.max_mass(),
                             config_.window_below(), config_.window_above()};
-  CandidateIndex local;
-  if (index == nullptr) {
-    local = CandidateIndex::build(shard, config_, needed);
-    index = &local;
-  } else {
-    MSP_CHECK_MSG(index->params() == CandidateIndexParams::from(config_),
-                  "candidate index was built under different enumeration "
-                  "parameters than this engine's config");
-    MSP_CHECK_MSG(index->envelope().covers(needed),
-                  "candidate index was clipped for hypotheses ["
-                      << index->envelope().lo << ", " << index->envelope().hi
-                      << "], which do not cover these queries' ["
-                      << needed.lo << ", " << needed.hi
-                      << "] under this engine's windows");
-  }
+  MSP_CHECK_MSG(shard.params == CandidateIndexParams::from(config_),
+                "candidate index was built under different enumeration "
+                "parameters than this engine's config");
+  MSP_CHECK_MSG(shard.envelope.covers(needed),
+                "candidate index was clipped for hypotheses ["
+                    << shard.envelope.lo << ", " << shard.envelope.hi
+                    << "], which do not cover these queries' [" << needed.lo
+                    << ", " << needed.hi << "] under this engine's windows");
 
   if (config_.open_search())
-    return search_open(*this, shard, queries, tops, per_query_candidates,
-                       *index, fragment);
+    return search_open(*this, shard, queries, tops, per_query_candidates);
   const auto view = [&shard](const IndexedCandidate& entry) {
     return view_of(shard, entry);
   };
-  return merge_join(*this, std::span<const IndexedCandidate>(index->entries()),
-                    queries, tops, per_query_candidates, config_.kernel_threads,
-                    view);
+  return merge_join(*this, shard.entries, queries, tops, per_query_candidates,
+                    config_.kernel_threads, view);
 }
 
 ShardSearchStats SearchEngine::search_records(

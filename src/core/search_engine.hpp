@@ -10,7 +10,8 @@
 // window contains it, instead of regenerating them per (candidate, query)
 // pair. The paper's Discussion identifies on-the-fly candidate generation
 // as the dominant query-processing cost; this is the HiCOPS-style fix. The
-// span is either a shard's CandidateIndex (search_shard) or a band of the
+// span is either a shard's index entries (search_shard, read through a
+// ShardView wherever they live) or a band of the
 // serving ring's CandidateRecord layout (search_records); both run the same
 // merge-join and the same per-pair score step, and search_shard fans the
 // join out over kernel_threads. Open search in search_shard swaps the
@@ -34,6 +35,7 @@
 #include "core/config.hpp"
 #include "core/fragment_index.hpp"
 #include "core/hit.hpp"
+#include "core/shard_view.hpp"
 #include "mass/peptide.hpp"
 #include "scoring/likelihood.hpp"
 #include "scoring/top_hits.hpp"
@@ -168,6 +170,17 @@ class SearchEngine {
       std::vector<std::uint64_t>* per_query_candidates = nullptr,
       const CandidateIndex* index = nullptr,
       const FragmentIndex* fragment = nullptr) const;
+
+  /// The same kernel over a borrowed shard: a shard image validated in
+  /// place (unpack_shard) or an owned shard's ShardView::of. The six-
+  /// argument form views its arguments and lands here. The view's entries
+  /// must satisfy the coverage and parameter rules above (InvalidArgument
+  /// otherwise), and its fragment index, when present, plays `fragment`'s
+  /// part.
+  ShardSearchStats search_shard(
+      const ShardView& shard, const PreparedQueries& queries,
+      std::span<TopK<Hit>> tops,
+      std::vector<std::uint64_t>* per_query_candidates = nullptr) const;
 
   /// The same candidate-centric kernel over the record span: runs
   /// search_shard()'s merge-join and score step over a mass-ascending

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <sstream>
 
 #include "io/wire_record.hpp"
 #include "simmpi/comm.hpp"
@@ -15,11 +16,17 @@ namespace {
 // "MSPARHST" in ASCII — distinct from the indexed-shard magic.
 constexpr std::uint64_t kHistogramMagic = 0x4D53504152485354ull;
 constexpr std::uint32_t kHistogramVersion = 1;
+// The most buckets a grid may have: indices 0 … UINT32_MAX.
+constexpr std::uint64_t kMaxBuckets = std::uint64_t{UINT32_MAX} + 1;
 
 }  // namespace
 
 MassHistogram MassHistogram::build(const CandidateIndex& index, double width) {
-  const std::vector<IndexedCandidate>& entries = index.entries();
+  return build(std::span<const IndexedCandidate>(index.entries()), width);
+}
+
+MassHistogram MassHistogram::build(std::span<const IndexedCandidate> entries,
+                                   double width) {
   std::vector<double> masses;
   masses.reserve(entries.size());
   for (const IndexedCandidate& entry : entries) masses.push_back(entry.mass);
@@ -36,12 +43,24 @@ MassHistogram MassHistogram::build(std::span<const double> masses,
   histogram.bucket_width = width;
   if (masses.empty()) return histogram;
   histogram.min_mass = masses.front();
-  const double span = masses.back() - histogram.min_mass;
-  histogram.bucket_count = static_cast<std::uint64_t>(span / width) + 1;
+  // Bucket indices are u32 in memory and on the wire: a grid whose last
+  // index does not fit would wrap the heavy masses onto low buckets, and
+  // routing and record_range would then under-cover them.
+  const double last_bucket = (masses.back() - histogram.min_mass) / width;
+  MSP_CHECK_MSG(last_bucket >= 0.0, "histogram masses must be non-decreasing");
+  if (!(last_bucket < static_cast<double>(kMaxBuckets))) {
+    std::ostringstream message;
+    message << "histogram bucket width " << width << " Da over the mass range ["
+            << histogram.min_mass << ", " << masses.back()
+            << "] needs more than 2^32 buckets";
+    throw InvalidArgument(message.str());
+  }
+  histogram.bucket_count = static_cast<std::uint64_t>(last_bucket) + 1;
+  const auto last = static_cast<double>(histogram.bucket_count - 1);
   for (const double mass : masses) {
-    const auto bucket = static_cast<std::uint32_t>(
-        std::min(static_cast<double>(histogram.bucket_count - 1),
-                 (mass - histogram.min_mass) / width));
+    const double offset = (mass - histogram.min_mass) / width;
+    MSP_CHECK_MSG(offset >= 0.0, "histogram masses must be non-decreasing");
+    const auto bucket = static_cast<std::uint32_t>(std::min(last, offset));
     if (!histogram.buckets.empty() &&
         histogram.buckets.back().index == bucket) {
       // Saturate rather than wrap: routing only asks "nonzero?". (A
@@ -164,6 +183,10 @@ MassHistogram get_histogram(wire::Reader& reader) {
                   "and finite");
   if (!std::isfinite(histogram.min_mass))
     throw IoError("shard mass histogram: min mass must be finite");
+  if (histogram.bucket_count > kMaxBuckets)
+    throw IoError("shard mass histogram: bucket count " +
+                  std::to_string(histogram.bucket_count) +
+                  " exceeds the 2^32 a u32 bucket index can address");
   if (nonzero > histogram.bucket_count)
     throw IoError("shard mass histogram: more nonzero buckets than the "
                   "grid holds");

@@ -67,10 +67,16 @@ struct MassHistogram {
   /// "never needed", the correct answer for a shard with no candidates.
   static MassHistogram build(const CandidateIndex& index,
                              double width = kDefaultRouteBucketDa);
+  /// The same over mass-ascending entries wherever they live (a shard
+  /// image's, viewed in place).
+  static MassHistogram build(std::span<const IndexedCandidate> entries,
+                             double width = kDefaultRouteBucketDa);
 
   /// Summarize an ascending mass array (the serving ring's band layout:
   /// one mass per CandidateRecord, record-array order). Same encoding as
-  /// the index overload; `masses` must be non-decreasing.
+  /// the index overload; `masses` must be non-decreasing. Throws
+  /// InvalidArgument, naming the width, when the grid would need more than
+  /// 2^32 buckets (its indices are u32).
   static MassHistogram build(std::span<const double> masses,
                              double width = kDefaultRouteBucketDa);
 

@@ -12,6 +12,15 @@
 // ("MSPARHST") all share this shape; the record helpers below are the one
 // place the peek/validate/reject logic lives, so every record family fails
 // corruption the same way (IoError with a record-specific message).
+//
+// Reading in place. A fetched shard image is validated where it sits and
+// scored through views into it (core/packdb.hpp): Reader::get_string_view
+// and Reader::get_bytes hand out borrowed slices, checked_array_view types
+// an array of alignment-1 or aligned records, and unaligned_view reads an
+// array of scalars at any address through memcpy loads (the
+// image's layout packs fields back to back, so its u32 arrays sit at
+// arbitrary offsets). Every view borrows the payload: it is valid only
+// while that buffer is neither resized, overwritten nor freed.
 #pragma once
 
 #include <cstddef>
@@ -46,6 +55,30 @@ class Writer {
     put_raw(text.data(), text.size());
   }
 
+  /// Append `values` as one block of their in-memory bytes — the bulk
+  /// form of a put_* per field. `T` must have no padding bytes (the
+  /// encoders static_assert their record sizes), or byte-identical
+  /// images would depend on uninitialized memory.
+  template <typename T>
+  void put_array(std::span<const T> values) {
+    static_assert(std::is_trivially_copyable_v<T>,
+                  "bulk-encoded records must be trivially copyable");
+    put_raw(values.data(), values.size_bytes());
+  }
+
+  /// Append `size` zero bytes and return the offset of the first, for the
+  /// caller to fill in place through data() and store() (a scatter whose
+  /// order differs from the byte order, e.g. a CSR's postings).
+  std::size_t put_zeros(std::size_t size) {
+    const std::size_t offset = bytes_.size();
+    bytes_.resize(offset + size);
+    return offset;
+  }
+
+  /// Start of the bytes written so far: valid until the next put_* or
+  /// reserve.
+  char* data() { return bytes_.data(); }
+
   const std::vector<char>& bytes() const { return bytes_; }
   std::vector<char> take() { return std::move(bytes_); }
 
@@ -77,11 +110,20 @@ class Reader {
     return value;
   }
 
-  std::string get_string() {
+  std::string get_string() { return std::string(get_string_view()); }
+
+  /// A length-prefixed string, borrowed from the payload.
+  std::string_view get_string_view() {
     const std::uint32_t length = get_u32();
-    require(length);
-    std::string out(data_ + offset_, length);
-    offset_ += length;
+    const std::span<const char> text = get_bytes(length);
+    return {text.data(), text.size()};
+  }
+
+  /// The next `size` bytes, borrowed from the payload.
+  std::span<const char> get_bytes(std::size_t size) {
+    require(size);
+    const std::span<const char> out(data_ + offset_, size);
+    offset_ += size;
     return out;
   }
 
@@ -99,7 +141,7 @@ class Reader {
   }
 
   void require(std::size_t bytes) const {
-    if (offset_ + bytes > size_)
+    if (bytes > size_ - offset_)
       throw IoError("wire: truncated payload (need " + std::to_string(bytes) +
                     " bytes at offset " + std::to_string(offset_) + " of " +
                     std::to_string(size_) + ")");
@@ -109,6 +151,14 @@ class Reader {
   std::size_t size_;
   std::size_t offset_ = 0;
 };
+
+/// Write `value`'s bytes at `at`, which may have any alignment (the
+/// in-place fill of a region put_zeros appended).
+template <typename T>
+void store(char* at, T value) {
+  static_assert(std::is_trivially_copyable_v<T>);
+  std::memcpy(at, &value, sizeof(T));
+}
 
 /// Append a versioned record header (magic + u32 version).
 void put_record_header(Writer& writer, std::uint64_t magic,
@@ -167,6 +217,81 @@ std::span<const T> checked_array_view(std::span<const char> bytes,
   const std::size_t count = bytes.size() / sizeof(T);
   for (std::size_t i = 0; i < count; ++i) check(records[i], i);
   return {records, count};
+}
+
+/// An array of scalars `T` stored back to back at any alignment, read by
+/// memcpy loads: element i is the sizeof(T) bytes at data + i·sizeof(T).
+/// Views the arrays of a packed image in place (its u32 runs sit at
+/// whatever offset the preceding strings left) and, through of(), the same
+/// values held in an ordinary aligned array, so one reader serves both.
+/// Borrowed: valid while the underlying bytes are.
+template <typename T>
+class UnalignedSpan {
+  static_assert(std::is_arithmetic_v<T>,
+                "unaligned spans hold scalars (no padding, any bit "
+                "pattern a valid value after validation)");
+
+ public:
+  UnalignedSpan() = default;
+
+  /// The values of an aligned array, read through the same loads.
+  static UnalignedSpan of(std::span<const T> values) {
+    return UnalignedSpan(reinterpret_cast<const char*>(values.data()),
+                         values.size());
+  }
+
+  /// First byte of element 0.
+  const char* data() const { return data_; }
+  std::size_t size() const { return size_; }
+  T operator[](std::size_t i) const {
+    T value;
+    std::memcpy(&value, data_ + i * sizeof(T), sizeof(T));
+    return value;
+  }
+  /// Elements [offset, offset + count).
+  UnalignedSpan subspan(std::size_t offset, std::size_t count) const {
+    return UnalignedSpan(data_ + offset * sizeof(T), count);
+  }
+  /// First position whose element is not less than `value` (the array
+  /// must be ascending), as std::lower_bound.
+  std::size_t lower_bound(T value) const {
+    std::size_t lo = 0;
+    std::size_t hi = size_;
+    while (lo < hi) {
+      const std::size_t mid = lo + (hi - lo) / 2;
+      if ((*this)[mid] < value)
+        lo = mid + 1;
+      else
+        hi = mid;
+    }
+    return lo;
+  }
+
+ private:
+  UnalignedSpan(const char* data, std::size_t size)
+      : data_(data), size_(size) {}
+
+  const char* data_ = nullptr;
+  std::size_t size_ = 0;
+
+  template <typename U>
+  friend UnalignedSpan<U> unaligned_view(std::span<const char>, const char*);
+};
+
+/// checked_array_view's sibling for scalar arrays at any alignment: the
+/// payload must be a whole number of `T`s (IoError otherwise). The values
+/// are untrusted: the caller validates them before using any — a CSR's
+/// invariants span runs of values, which a per-element check cannot see.
+/// Nothing is copied; the view borrows `bytes`.
+template <typename T>
+UnalignedSpan<T> unaligned_view(std::span<const char> bytes,
+                                const char* what) {
+  if (bytes.size() % sizeof(T) != 0)
+    throw IoError(std::string(what) + ": payload of " +
+                  std::to_string(bytes.size()) +
+                  " bytes is not a whole number of " +
+                  std::to_string(sizeof(T)) + "-byte values");
+  return UnalignedSpan<T>(bytes.data(), bytes.size() / sizeof(T));
 }
 
 }  // namespace msp::wire

@@ -99,6 +99,19 @@ KernelRun run_shard(const SearchConfig& config, const CandidateIndex* index,
   return run;
 }
 
+KernelRun run_view(const SearchConfig& config, const ShardView& shard) {
+  const Workload& w = workload();
+  const SearchEngine engine(config);
+  const PreparedQueries prepared = engine.prepare(
+      std::span<const Spectrum>(w.queries.data(), w.queries.size()));
+  KernelRun run;
+  run.per_query.assign(prepared.size(), 0);
+  std::vector<TopK<Hit>> tops = engine.make_tops(prepared.size());
+  run.stats = engine.search_shard(shard, prepared, tops, &run.per_query);
+  run.hits = engine.finalize(tops);
+  return run;
+}
+
 KernelRun run_reference(const SearchConfig& config) {
   const Workload& w = workload();
   const SearchEngine engine(config);
@@ -291,11 +304,12 @@ TEST(FragmentIndexWire, RoundTripsThroughWriterAndPackImage) {
   EXPECT_TRUE(peek_fragment_index(reader));
   EXPECT_EQ(get_fragment_index(reader), fragment);
 
-  // The shard image: trailer parsed back intact behind the index.
-  const PackedShard shard =
-      unpack_shard(pack_shard(w.db, ShardIndexes{index, fragment, true}));
-  ASSERT_TRUE(shard.indexes.has_fragment);
-  EXPECT_EQ(shard.indexes.fragment, fragment);
+  // The shard image: trailer validated intact behind the index.
+  const std::vector<char> image =
+      pack_shard(w.db, ShardIndexes{index, fragment, true});
+  const ShardView shard = unpack_shard(image);
+  ASSERT_TRUE(shard.fragment.has_value());
+  EXPECT_EQ(*shard.fragment, fragment.view());
 }
 
 TEST(FragmentIndexWire, RejectsCorruptedRecords) {
@@ -434,15 +448,16 @@ TEST(FragmentIndexWire, ImageWithoutFragmentFallsBackToExhaustiveSearch) {
   const CandidateIndex index = CandidateIndex::build(w.db, config);
 
   // An image packed without a fragment index has no trailer at all.
-  const PackedShard bare =
-      unpack_shard(pack_shard(w.db, ShardIndexes{.index = index}));
-  EXPECT_FALSE(bare.indexes.has_fragment);
+  const std::vector<char> image =
+      pack_shard(w.db, ShardIndexes{.index = index});
+  const ShardView bare = unpack_shard(image);
+  EXPECT_FALSE(bare.fragment.has_value());
 
   // kAuto with no fragment index silently enumerates exhaustively and
   // still lands on the oracle's hits.
   const KernelRun oracle = run_reference(config);
   config.candidate_source = CandidateSourceKind::kAuto;
-  const KernelRun fallback = run_shard(config, &bare.indexes.index, nullptr);
+  const KernelRun fallback = run_view(config, bare);
   expect_hits_identical(fallback.hits, oracle.hits, "no-fragment fallback");
   EXPECT_EQ(fallback.stats.postings_scanned, 0u);
 }

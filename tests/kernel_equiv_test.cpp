@@ -22,6 +22,7 @@
 #include "core/algorithm_a.hpp"
 #include "core/candidate_index.hpp"
 #include "core/candidate_record.hpp"
+#include "core/fragment_index.hpp"
 #include "core/packdb.hpp"
 #include "core/search_engine.hpp"
 #include "dbgen/protein_gen.hpp"
@@ -79,11 +80,23 @@ struct KernelRun {
 
 KernelRun run_indexed(const SearchEngine& engine, const ProteinDatabase& db,
                       const PreparedQueries& prepared,
-                      const CandidateIndex* index = nullptr) {
+                      const CandidateIndex* index = nullptr,
+                      const FragmentIndex* fragment = nullptr) {
   KernelRun run;
   run.per_query.assign(prepared.size(), 0);
   std::vector<TopK<Hit>> tops = engine.make_tops(prepared.size());
-  run.stats = engine.search_shard(db, prepared, tops, &run.per_query, index);
+  run.stats = engine.search_shard(db, prepared, tops, &run.per_query, index,
+                                  fragment);
+  run.hits = engine.finalize(tops);
+  return run;
+}
+
+KernelRun run_view(const SearchEngine& engine, const ShardView& shard,
+                   const PreparedQueries& prepared) {
+  KernelRun run;
+  run.per_query.assign(prepared.size(), 0);
+  std::vector<TopK<Hit>> tops = engine.make_tops(prepared.size());
+  run.stats = engine.search_shard(shard, prepared, tops, &run.per_query);
   run.hits = engine.finalize(tops);
   return run;
 }
@@ -193,13 +206,12 @@ TEST(KernelEquivalence, ShippedIndexMatchesLocalBuild) {
   const std::vector<char> bytes =
       pack_shard(w.db, ShardIndexes{.index = index});
 
-  // The shard image is self-describing and survives the wire intact.
-  const PackedShard shard = unpack_shard(bytes);
-  const CandidateIndex& shipped_index = shard.indexes.index;
-  EXPECT_TRUE(shipped_index.params() == index.params());
-  ASSERT_EQ(shipped_index.size(), index.size());
+  // The shard image is self-describing and is scored where it sits.
+  const ShardView shard = unpack_shard(bytes);
+  EXPECT_TRUE(shard.params == index.params());
+  ASSERT_EQ(shard.entries.size(), index.size());
   for (std::size_t i = 0; i < index.size(); ++i) {
-    const IndexedCandidate& a = shipped_index.entries()[i];
+    const IndexedCandidate& a = shard.entries[i];
     const IndexedCandidate& b = index.entries()[i];
     ASSERT_EQ(a.mass, b.mass) << "entry " << i;
     ASSERT_EQ(a.protein, b.protein) << "entry " << i;
@@ -208,16 +220,114 @@ TEST(KernelEquivalence, ShippedIndexMatchesLocalBuild) {
     ASSERT_EQ(a.end, b.end) << "entry " << i;
   }
 
-  // Searching with the shipped index == searching with an internal build.
-  const KernelRun shipped =
-      run_indexed(engine, shard.db, prepared, &shipped_index);
+  // Searching the shipped image == searching with an internal build.
+  const KernelRun shipped = run_view(engine, shard, prepared);
   const KernelRun internal = run_indexed(engine, w.db, prepared);
   expect_runs_identical(shipped, internal, "shipped index");
   EXPECT_EQ(shipped.stats.ions_built, internal.stats.ions_built);
 
   // The image carries the shard's proteins intact.
-  ASSERT_EQ(shard.db.proteins.size(), w.db.proteins.size());
-  EXPECT_EQ(shard.db.proteins.back().residues, w.db.proteins.back().residues);
+  ASSERT_EQ(shard.proteins.size(), w.db.proteins.size());
+  EXPECT_EQ(shard.proteins.back().id, w.db.proteins.back().id);
+  EXPECT_EQ(shard.proteins.back().residues, w.db.proteins.back().residues);
+}
+
+// The image view and the owned index it was packed from are one kernel
+// input: identical hits, every ShardSearchStats counter and per-query
+// counts over the whole config matrix, narrow and open, with and without
+// the fragment index.
+TEST(KernelEquivalence, ImageViewMatchesOwnedIndexes) {
+  const Workload& w = workload();
+  for (const CandidateMode mode :
+       {CandidateMode::kPrefixSuffix, CandidateMode::kTryptic}) {
+    for (const bool prefilter : {false, true}) {
+      for (const bool alternate : {false, true}) {
+        for (const ScoreModel model :
+             {ScoreModel::kLikelihood, ScoreModel::kHyperscore,
+              ScoreModel::kSharedPeak, ScoreModel::kXcorr}) {
+          for (const int form : {0, 1, 2}) {  // narrow, open, open+fragment
+            SearchConfig config = base_config();
+            config.candidate_mode = mode;
+            config.prefilter = prefilter;
+            config.try_alternate_charges = alternate;
+            config.model = model;
+            if (form > 0) {
+              config.open_window_da = 40.0;
+              config.min_fragment_votes = 2;
+            }
+            const std::string label =
+                std::string(mode == CandidateMode::kTryptic
+                                ? "tryptic"
+                                : "prefix/suffix") +
+                (prefilter ? "+prefilter" : "") +
+                (alternate ? "+charges" : "") +
+                " model=" + std::to_string(static_cast<int>(model)) +
+                " form=" + std::to_string(form);
+
+            const SearchEngine engine(config);
+            const PreparedQueries prepared = engine.prepare(w.queries);
+            const CandidateIndex index = CandidateIndex::build(w.db, config);
+            const bool with_fragment = form == 2;
+            const FragmentIndex fragment =
+                with_fragment
+                    ? FragmentIndex::build(w.db, index, config.bin_width)
+                    : FragmentIndex{};
+            const std::vector<char> bytes =
+                pack_shard(w.db, ShardIndexes{index, fragment, with_fragment});
+            const KernelRun viewed =
+                run_view(engine, unpack_shard(bytes), prepared);
+            const KernelRun owned = run_indexed(
+                engine, w.db, prepared, &index,
+                with_fragment ? &fragment : nullptr);
+            expect_runs_identical(viewed, owned, label);
+            EXPECT_EQ(viewed.stats.ions_built, owned.stats.ions_built)
+                << label;
+            EXPECT_EQ(viewed.stats.postings_scanned,
+                      owned.stats.postings_scanned)
+                << label;
+            if (with_fragment) {
+              EXPECT_GT(viewed.stats.postings_scanned, 0u) << label;
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+// The image's arrays sit wherever its strings leave them: copied to every
+// offset 0–7 of a larger buffer, it still validates, views the same
+// entries and postings, and searches identically.
+TEST(KernelEquivalence, ImageAtAnyOffsetSearchesIdentically) {
+  const Workload& w = workload();
+  SearchConfig config = base_config();
+  config.open_window_da = 40.0;
+  config.min_fragment_votes = 2;
+  const SearchEngine engine(config);
+  const PreparedQueries prepared = engine.prepare(w.queries);
+  const CandidateIndex index = CandidateIndex::build(w.db, config);
+  const FragmentIndex fragment =
+      FragmentIndex::build(w.db, index, config.bin_width);
+  const std::vector<char> bytes =
+      pack_shard(w.db, ShardIndexes{index, fragment, true});
+  const KernelRun owned =
+      run_indexed(engine, w.db, prepared, &index, &fragment);
+  ASSERT_GT(owned.stats.postings_scanned, 0u);
+
+  for (std::size_t shift = 0; shift < 8; ++shift) {
+    std::vector<char> storage(bytes.size() + 8);
+    std::copy(bytes.begin(), bytes.end(),
+              storage.begin() + static_cast<std::ptrdiff_t>(shift));
+    const std::span<const char> image(storage.data() + shift, bytes.size());
+    const ShardView view = unpack_shard(image);
+    ASSERT_EQ(view.entries.size(), index.size()) << "offset " << shift;
+    ASSERT_TRUE(view.fragment.has_value()) << "offset " << shift;
+    EXPECT_EQ(*view.fragment, fragment.view()) << "offset " << shift;
+    const KernelRun viewed = run_view(engine, view, prepared);
+    expect_runs_identical(viewed, owned, "offset " + std::to_string(shift));
+    EXPECT_EQ(viewed.stats.postings_scanned, owned.stats.postings_scanned);
+    EXPECT_EQ(viewed.stats.ions_built, owned.stats.ions_built);
+  }
 }
 
 TEST(KernelEquivalence, RejectsIndexBuiltUnderDifferentParams) {

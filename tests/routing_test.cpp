@@ -481,6 +481,40 @@ TEST(RoutingBucketMath, NanWindowsNeverRoute) {
             (std::pair<std::uint64_t, std::uint64_t>{0, 0}));
 }
 
+// Bucket indices are u32: a grid finer than 2^32 buckets over the mass
+// range would wrap the heavy masses onto low buckets, and record_range
+// would then return a range that misses them.
+TEST(MassHistogram, RejectsGridBeyondUint32Indices) {
+  for (const std::vector<double>& masses :
+       {std::vector<double>{500.0, 5000.0},
+        std::vector<double>{500.0, 2500.0, 5000.0}}) {
+    try {
+      (void)MassHistogram::build(std::span<const double>(masses), 1e-6);
+      ADD_FAILURE() << masses.size() << " masses: a 4.5e9-bucket grid built";
+    } catch (const InvalidArgument& error) {
+      const std::string message = error.what();
+      EXPECT_NE(message.find("width 1e-06"), std::string::npos) << message;
+    }
+  }
+  // The widest grid that still fits builds and covers its heaviest mass.
+  const std::vector<double> fits{0.0, 4294967295.0};
+  const MassHistogram edge =
+      MassHistogram::build(std::span<const double>(fits), 1.0);
+  EXPECT_EQ(edge.bucket_count, std::uint64_t{UINT32_MAX} + 1);
+  EXPECT_EQ(edge.record_range(fits.back() - 0.1, fits.back() + 0.1).second,
+            2u);
+
+  // The decoder rejects such a grid too: one bucket past 2^32.
+  wire::Writer writer;
+  put_histogram(writer, edge);
+  std::vector<char> bytes = writer.take();
+  const std::uint64_t too_many = std::uint64_t{UINT32_MAX} + 2;
+  // After the 12-byte header, the width and min-mass doubles.
+  std::memcpy(bytes.data() + 12 + 16, &too_many, sizeof(too_many));
+  wire::Reader reader(bytes);
+  EXPECT_THROW(get_histogram(reader), IoError);
+}
+
 // Corrupt records must be rejected loudly, each with a specific IoError —
 // never parsed into a histogram that silently misroutes.
 
@@ -750,7 +784,7 @@ TEST(RoutingWire, EachDecoderRejectsTheOtherFormat) {
   const std::vector<char> plain = pack_database(w.db);
   const std::vector<char> shard = pack_shard(w.db, indexes);
   EXPECT_EQ(unpack_database(plain).proteins.size(), w.db.proteins.size());
-  EXPECT_EQ(unpack_shard(shard).indexes.index.size(), indexes.index.size());
+  EXPECT_EQ(unpack_shard(shard).entries.size(), indexes.index.size());
   EXPECT_THROW(unpack_shard(plain), IoError);
   EXPECT_THROW(unpack_database(shard), IoError);
 }
