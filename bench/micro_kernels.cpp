@@ -6,6 +6,7 @@
 #include <optional>
 
 #include "core/candidate_index.hpp"
+#include "core/fragment_index.hpp"
 #include "core/search_engine.hpp"
 #include "dbgen/protein_gen.hpp"
 #include "dbgen/query_gen.hpp"
@@ -193,6 +194,22 @@ void BM_CandidateIndexBuild(benchmark::State& state) {
   state.SetComplexityN(state.range(0));
 }
 BENCHMARK(BM_CandidateIndexBuild)->Arg(250)->Arg(500)->Arg(1000)->Complexity();
+
+// The fragment-ion index's one CSR writer: every candidate's b/y ladder
+// binned and scattered into its MSPARFRG record, the trailer an
+// open-search shard image carries.
+void BM_FragmentIndexBuild(benchmark::State& state) {
+  ProteinGenOptions db_options;
+  db_options.sequence_count = static_cast<std::size_t>(state.range(0));
+  const ProteinDatabase db = generate_proteins(db_options);
+  const SearchConfig config;
+  const CandidateIndex index = CandidateIndex::build(db, config);
+  for (auto _ : state)
+    benchmark::DoNotOptimize(
+        FragmentIndex::build(db, index, config.bin_width));
+  state.SetComplexityN(state.range(0));
+}
+BENCHMARK(BM_FragmentIndexBuild)->Arg(250)->Arg(500)->Arg(1000)->Complexity();
 
 void BM_PrepareQuery(benchmark::State& state) {
   SearchConfig config;

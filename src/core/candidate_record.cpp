@@ -34,8 +34,8 @@ CandidateRecord make_record(const Protein& protein, std::uint32_t offset,
 /// read of the id.
 const char* record_problem(const CandidateRecord& record) {
   if (!std::isfinite(record.mass)) return "mass is not finite";
-  if (record.length == 0 || record.length >= sizeof(record.peptide))
-    return "length is outside [1, 63]";
+  if (record.length < 2 || record.length >= sizeof(record.peptide))
+    return "length is outside [2, 63]";
   if (record.protein_id[sizeof(record.protein_id) - 1] != '\0')
     return "protein_id is not NUL-terminated";
   if (record.end > static_cast<std::uint8_t>(FragmentEnd::kInternal))

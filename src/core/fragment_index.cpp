@@ -68,19 +68,6 @@ LadderBins ladder_bins(std::span<const ProteinView> proteins,
   return out;
 }
 
-/// The stable counting scatter: place(position, ordinal) for every
-/// posting, entries in index order, so each bin's postings come out
-/// strictly ordinal-ascending.
-template <typename Place>
-void scatter(const LadderBins& csr, const Place& place) {
-  if (csr.starts.empty()) return;
-  std::vector<std::uint64_t> cursor(csr.starts.begin(), csr.starts.end() - 1);
-  std::size_t i = 0;
-  for (std::size_t e = 0; e < csr.ends.size(); ++e)
-    for (; i < csr.ends[e]; ++i)
-      place(cursor[csr.bins[i]]++, static_cast<std::uint32_t>(e));
-}
-
 /// The record up to its postings: header, parameters, candidate count, bin
 /// and posting counts, then one u32 count per bin.
 void put_fragment_head(wire::Writer& writer, const FragmentIndexParams& params,
@@ -126,27 +113,25 @@ FragmentIndex FragmentIndex::build(std::span<const ProteinView> proteins,
                                    std::span<const IndexedCandidate> entries,
                                    const CandidateIndexParams& params,
                                    double bin_width) {
-  LadderBins csr = ladder_bins(proteins, entries, bin_width);
+  wire::Writer writer;
+  put_fragment_index(writer, proteins, entries, params, bin_width);
   FragmentIndex out;
-  out.params_ = FragmentIndexParams{params, bin_width};
-  out.candidate_count_ = entries.size();
-  out.postings_.resize(csr.bins.size());
-  scatter(csr, [&out](std::uint64_t position, std::uint32_t ordinal) {
-    out.postings_[position] = ordinal;
-  });
-  out.starts_ = std::move(csr.starts);
+  out.bytes_ = writer.take();
+  wire::Reader reader(out.bytes_.data(), out.bytes_.size());
+  out.view_ = get_fragment_view(reader);
   return out;
 }
 
-FragmentView FragmentIndex::view() const {
-  return FragmentView{params_, candidate_count_, starts_,
-                      wire::UnalignedSpan<std::uint32_t>::of(postings_)};
-}
+// A vector's move hands its buffer over, so the view moves with the bytes
+// it reads, and the source is left empty.
+FragmentIndex::FragmentIndex(FragmentIndex&& other) noexcept
+    : bytes_(std::exchange(other.bytes_, {})),
+      view_(std::exchange(other.view_, {})) {}
 
-void put_fragment_index(wire::Writer& writer, const FragmentIndex& index) {
-  put_fragment_head(writer, index.params_, index.candidate_count_,
-                    index.starts_);
-  writer.put_array(std::span<const std::uint32_t>(index.postings_));
+FragmentIndex& FragmentIndex::operator=(FragmentIndex&& other) noexcept {
+  bytes_ = std::exchange(other.bytes_, {});
+  view_ = std::exchange(other.view_, {});
+  return *this;
 }
 
 std::uint64_t put_fragment_index(wire::Writer& writer,
@@ -157,12 +142,20 @@ std::uint64_t put_fragment_index(wire::Writer& writer,
   const LadderBins csr = ladder_bins(proteins, entries, bin_width);
   put_fragment_head(writer, FragmentIndexParams{params, bin_width},
                     entries.size(), csr.starts);
+  // The stable counting scatter, entries in index order, so each bin's
+  // postings come out strictly ordinal-ascending.
   const std::size_t first =
       writer.put_zeros(csr.bins.size() * sizeof(std::uint32_t));
   char* const postings = writer.data() + first;
-  scatter(csr, [postings](std::uint64_t position, std::uint32_t ordinal) {
-    wire::store(postings + position * sizeof(std::uint32_t), ordinal);
-  });
+  if (!csr.starts.empty()) {
+    std::vector<std::uint64_t> cursor(csr.starts.begin(),
+                                      csr.starts.end() - 1);
+    std::size_t i = 0;
+    for (std::size_t e = 0; e < csr.ends.size(); ++e)
+      for (; i < csr.ends[e]; ++i)
+        wire::store(postings + cursor[csr.bins[i]]++ * sizeof(std::uint32_t),
+                    static_cast<std::uint32_t>(e));
+  }
   return csr.bins.size();
 }
 
@@ -233,18 +226,6 @@ FragmentView get_fragment_view(wire::Reader& reader) {
   }
   view.ordinals = ordinals;
   return view;
-}
-
-FragmentIndex get_fragment_index(wire::Reader& reader) {
-  FragmentView view = get_fragment_view(reader);
-  FragmentIndex out;
-  out.params_ = view.params;
-  out.candidate_count_ = view.candidate_count;
-  out.starts_ = std::move(view.starts);
-  out.postings_.reserve(view.ordinals.size());
-  for (std::size_t i = 0; i < view.ordinals.size(); ++i)
-    out.postings_.push_back(view.ordinals[i]);
-  return out;
 }
 
 }  // namespace msp

@@ -17,9 +17,12 @@
 // computes the identical integer votes the two sources admit the identical
 // candidate set: bit-identical hits by construction (DESIGN.md §5i).
 //
-// The index ships in the shard image as a versioned magic-tagged record
-// ("MSPARFRG") behind the CandidateIndex, whenever open search uses one,
-// and the kernel reads it there, through a FragmentView.
+// The index has one format: a versioned magic-tagged record ("MSPARFRG").
+// put_fragment_index lays it out and get_fragment_view decodes it, and
+// nothing else touches the CSR. A shard image carries the record behind
+// its CandidateIndex whenever open search uses one, and the kernel reads
+// it there, through a FragmentView; a FragmentIndex owns one record and
+// its view (the serial engine's in-place build).
 #pragma once
 
 #include <cstdint>
@@ -45,9 +48,10 @@ struct FragmentIndexParams {
 };
 
 /// A fragment index as the kernel reads it. The posting ordinals are
-/// borrowed — from a FragmentIndex, or in place from a shard image, where
-/// they sit at whatever alignment the image's layout leaves them — and the
-/// CSR row starts are derived (an image stores per-bin counts).
+/// borrowed — from a FragmentIndex's record, or in place from a shard
+/// image, where they sit at whatever alignment the image's layout leaves
+/// them — and the CSR row starts are derived (a record stores per-bin
+/// counts).
 struct FragmentView {
   FragmentIndexParams params;
   std::uint64_t candidate_count = 0;    ///< ordinal bound
@@ -70,10 +74,17 @@ struct FragmentView {
   friend bool operator==(const FragmentView& a, const FragmentView& b);
 };
 
-/// CSR postings over global ion bins for one shard's CandidateIndex.
+/// One shard's fragment index, owned: the MSPARFRG record
+/// put_fragment_index writes, and the FragmentView get_fragment_view takes
+/// of it. Move-only: a move hands the bytes over together with their view
+/// and leaves the source empty, so no view reads another object's bytes.
 class FragmentIndex {
  public:
   FragmentIndex() = default;
+  FragmentIndex(FragmentIndex&& other) noexcept;
+  FragmentIndex& operator=(FragmentIndex&& other) noexcept;
+  FragmentIndex(const FragmentIndex&) = delete;
+  FragmentIndex& operator=(const FragmentIndex&) = delete;
 
   /// Build from a shard and its CandidateIndex: every entry's theoretical
   /// ions (default TheoreticalOptions — the exact ladder the kernels score)
@@ -91,49 +102,23 @@ class FragmentIndex {
                              const CandidateIndexParams& params,
                              double bin_width);
 
-  const FragmentIndexParams& params() const { return params_; }
-  /// Size of the CandidateIndex this was built over (ordinal bound).
-  std::uint64_t candidate_count() const { return candidate_count_; }
-  std::uint32_t bin_count() const {
-    return starts_.empty() ? 0
-                           : static_cast<std::uint32_t>(starts_.size() - 1);
-  }
-  std::size_t posting_count() const { return postings_.size(); }
-  bool empty() const { return postings_.empty(); }
-
-  /// Candidate ordinals (into the CandidateIndex entries) owning an ion in
-  /// `bin`, strictly ordinal-ascending (deduplicated per candidate). Empty
-  /// for out-of-grid bins.
-  std::span<const std::uint32_t> postings(std::uint32_t bin) const {
-    if (bin >= bin_count()) return {};
-    return std::span<const std::uint32_t>(postings_)
-        .subspan(starts_[bin], starts_[bin + 1] - starts_[bin]);
-  }
-
-  /// This index as the kernel reads it, borrowing its postings.
-  FragmentView view() const;
-
-  friend bool operator==(const FragmentIndex& a,
-                         const FragmentIndex& b) = default;
+  /// The record's bytes: what a shard image carries as its trailer.
+  std::span<const char> bytes() const { return bytes_; }
+  /// The record as the kernel reads it; its ordinals lie in bytes().
+  const FragmentView& view() const { return view_; }
+  std::size_t posting_count() const { return view_.posting_count(); }
 
  private:
-  friend FragmentIndex get_fragment_index(wire::Reader& reader);
-  friend void put_fragment_index(wire::Writer& writer,
-                                 const FragmentIndex& index);
-
-  FragmentIndexParams params_;
-  std::uint64_t candidate_count_ = 0;
-  std::vector<std::uint64_t> starts_;    ///< CSR row starts, bin_count + 1
-  std::vector<std::uint32_t> postings_;  ///< candidate ordinals
+  std::vector<char> bytes_;
+  FragmentView view_;
 };
 
-/// Append `index` as a versioned, magic-tagged "MSPARFRG" record.
-void put_fragment_index(wire::Writer& writer, const FragmentIndex& index);
-
-/// Append the record put_fragment_index(writer, FragmentIndex::build(
-/// proteins, entries, params, bin_width)) writes, byte for byte, with the
-/// postings scattered straight into the writer: no FragmentIndex is built.
-/// Returns the posting count.
+/// Append the "MSPARFRG" record of the fragment index over a shard's
+/// protein table and mass-sorted entries (built under `params`): a
+/// versioned, magic-tagged header, the per-bin counts, then the postings,
+/// scattered straight into the writer. The one writer of the CSR layout;
+/// FragmentIndex::build and the shard images both call it. Returns the
+/// posting count.
 std::uint64_t put_fragment_index(wire::Writer& writer,
                                  std::span<const ProteinView> proteins,
                                  std::span<const IndexedCandidate> entries,
@@ -147,10 +132,8 @@ bool peek_fragment_index(wire::Reader& reader);
 /// CSR invariants (positive finite bin width, per-bin counts summing to the
 /// posting count, ordinals inside the candidate range, strictly
 /// ordinal-ascending posting lists). Throws IoError with a specific message
-/// on any violation. The view's ordinals borrow the reader's payload.
+/// on any violation. The view's ordinals borrow the reader's payload. The
+/// one decoder of the CSR layout.
 FragmentView get_fragment_view(wire::Reader& reader);
-
-/// get_fragment_view's checks, then an owned copy of the record.
-FragmentIndex get_fragment_index(wire::Reader& reader);
 
 }  // namespace msp

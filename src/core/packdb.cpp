@@ -3,6 +3,7 @@
 #include <cmath>
 #include <string>
 
+#include "core/fragment_index.hpp"
 #include "io/wire_record.hpp"
 
 namespace msp {
@@ -69,9 +70,11 @@ void put_index(wire::Writer& writer, const CandidateIndex& index) {
 }
 
 // The validator trusts nothing: the kernel dereferences every entry's
-// protein ordinal and residue range, and merge-joins the masses assuming
-// they are finite, ascending and inside the envelope the shard was clipped
-// for. The entries are checked where they sit and `shard` views them there.
+// protein ordinal and residue range, fragments every entry (two residues
+// at least, inside the recorded length range), and merge-joins the masses
+// assuming they are finite, ascending and inside the envelope the shard was
+// clipped for. The entries are checked where they sit and `shard` views
+// them there.
 void get_index(wire::Reader& reader, ShardView& shard) {
   CandidateIndexParams& params = shard.params;
   const std::uint8_t mode = reader.get_u8();
@@ -82,6 +85,10 @@ void get_index(wire::Reader& reader, ShardView& shard) {
   params.min_length = reader.get_u32();
   params.max_length = reader.get_u32();
   params.missed_cleavages = reader.get_u32();
+  // The kernel fragments every entry: a peptide needs two residues.
+  if (params.min_length < 2)
+    throw IoError("packed index: minimum length " +
+                  std::to_string(params.min_length) + " is below 2");
   MassEnvelope& envelope = shard.envelope;
   envelope.lo = reader.get_double();
   envelope.hi = reader.get_double();
@@ -113,6 +120,12 @@ void get_index(wire::Reader& reader, ShardView& shard) {
         if (std::uint64_t{entry.offset} + entry.length >
             proteins[entry.protein].residues.size())
           reject_entry(i, "offset + length past the protein's residues");
+        if (entry.length < params.min_length ||
+            entry.length > params.max_length)
+          reject_entry(i, "length " + std::to_string(entry.length) +
+                              " outside [" +
+                              std::to_string(params.min_length) + ", " +
+                              std::to_string(params.max_length) + "]");
         const auto end = static_cast<std::uint8_t>(entry.end);
         if (end > static_cast<std::uint8_t>(FragmentEnd::kInternal))
           reject_entry(i, "end " + std::to_string(end) + " unknown");
@@ -160,10 +173,9 @@ ProteinDatabase unpack_database(std::span<const char> bytes) {
 }
 
 std::vector<char> pack_shard(const ProteinDatabase& db,
-                             const ShardIndexes& indexes) {
+                             const CandidateIndex& index) {
   wire::Writer writer;
-  put_shard_head(writer, db, indexes.index);
-  if (indexes.has_fragment) put_fragment_index(writer, indexes.fragment);
+  put_shard_head(writer, db, index);
   return writer.take();
 }
 

@@ -3,33 +3,24 @@
 // The paper transports raw database fragments ("database transport model");
 // we serialize a shard's proteins (and its indexes) into one contiguous
 // buffer so an RMA get of the shard is a single modeled transfer, exactly
-// like the C original. The receiver scores that buffer where it landed:
-// unpack_shard validates the image in place and returns a ShardView into
-// it, so a rank holds only the paper's D_local, D_recv and D_comp, never
-// a decoded copy of a shard it scores.
+// like the C original. One encoder writes that image: a shared head
+// (MSPARIDX header, proteins, candidate index) and, for open search, the
+// fragment-index record put_fragment_index lays out. The receiver scores
+// that buffer where it landed: unpack_shard validates the image in place
+// and returns a ShardView into it, so a rank holds only the paper's
+// D_local, D_recv and D_comp, never a decoded copy of a shard it scores.
 #pragma once
 
 #include <span>
 #include <vector>
 
 #include "core/candidate_index.hpp"
-#include "core/fragment_index.hpp"
 #include "core/hit.hpp"
 #include "core/shard_view.hpp"
 #include "mass/peptide.hpp"
 #include "spectra/spectrum.hpp"
 
 namespace msp {
-
-/// A shard's search indexes, owned: the candidate index always, the
-/// fragment-ion index only when open search uses one (candidate source not
-/// forced to the mass window). What pack_shard encodes; the drivers build
-/// their images without one (detail::build_shard_image).
-struct ShardIndexes {
-  CandidateIndex index;
-  FragmentIndex fragment{};
-  bool has_fragment = false;
-};
 
 /// Serialize a plain protein list: the payload Algorithm B's counting sort
 /// exchanges (sortmz.cpp).
@@ -39,16 +30,15 @@ std::vector<char> pack_database(const ProteinDatabase& db);
 /// shard image (pack_shard's format is not a protein list).
 ProteinDatabase unpack_database(std::span<const char> bytes);
 
-/// Serialize a shard with its indexes — the image the rings expose and
-/// fetch: a versioned MSPARIDX lead-in, the proteins, the candidate index
-/// (with the envelope it was clipped for) and, only when
-/// `indexes.has_fragment`, the MSPARFRG fragment-index trailer. The indexes
-/// are built once at pack time and ride with the shard bytes, so every rank
-/// a rotation delivers the shard to reuses one enumeration. The image
-/// carries exactly what its receiver scores: routing state travels once,
-/// in ShardMassMap::exchange, never per fetch.
+/// Serialize a shard with its candidate index — the image the rings expose
+/// and fetch when no fragment index rides along: a versioned MSPARIDX
+/// lead-in, the proteins and the candidate index (with the envelope it was
+/// clipped for). The index is built once at pack time and rides with the
+/// shard bytes, so every rank a rotation delivers the shard to reuses one
+/// enumeration. The image carries exactly what its receiver scores:
+/// routing state travels once, in ShardMassMap::exchange, never per fetch.
 std::vector<char> pack_shard(const ProteinDatabase& db,
-                             const ShardIndexes& indexes);
+                             const CandidateIndex& index);
 
 /// A shard image and the posting count of its fragment-index trailer.
 struct ShardImage {
@@ -56,9 +46,10 @@ struct ShardImage {
   std::uint64_t postings = 0;
 };
 
-/// The image pack_shard(db, {index, FragmentIndex::build(db, index,
-/// bin_width), true}) writes, byte for byte, with the fragment CSR
-/// scattered straight into it: no FragmentIndex is built.
+/// The image open search ships: pack_shard(db, index) followed by the
+/// MSPARFRG record of FragmentIndex::build(db, index, bin_width), its CSR
+/// scattered straight into the image by put_fragment_index (no
+/// FragmentIndex is built).
 ShardImage pack_shard(const ProteinDatabase& db, const CandidateIndex& index,
                       double bin_width);
 
@@ -67,9 +58,11 @@ ShardImage pack_shard(const ProteinDatabase& db, const CandidateIndex& index,
 /// `image`, which nothing copies. Every check a decoder needs runs first —
 /// protein and entry counts bounded by the payload, each entry's mass
 /// finite, ascending and inside the recorded envelope, its protein ordinal
-/// and residue range in bounds, its end known, the fragment CSR intact and
-/// covering the entries, no trailing bytes — and throws IoError, also on a
-/// plain protein list (pack_database's format is not a shard image).
+/// and residue range in bounds, its length inside the recorded
+/// [min_length, max_length] (min_length at least 2), its end known, the
+/// fragment CSR intact and covering the entries, no trailing bytes — and
+/// throws IoError, also on a plain protein list (pack_database's format is
+/// not a shard image).
 ///
 /// The view borrows `image`: it is valid while that buffer is neither
 /// freed, resized nor overwritten (ShardWindow::settle swaps D_recv into

@@ -47,15 +47,14 @@ std::vector<char> build_shard_image(sim::Comm& comm, const ProteinDatabase& db,
   // Each entry costs one fragment-mass computation, the same unit as
   // Algorithm B's m/z sort; each posting (= theoretical ion) one more.
   const double seconds_per_mz = comm.compute_model().seconds_per_mz;
-  CandidateIndex index = CandidateIndex::build(db, config, envelope);
+  const CandidateIndex index = CandidateIndex::build(db, config, envelope);
   comm.clock().charge_compute(static_cast<double>(index.size()) *
                               seconds_per_mz);
   comm.bump("index_entries", index.size());
   const bool has_fragment =
       config.open_search() &&
       config.candidate_source != CandidateSourceKind::kMassWindow;
-  if (!has_fragment)
-    return pack_shard(db, ShardIndexes{.index = std::move(index)});
+  if (!has_fragment) return pack_shard(db, index);
   ShardImage image = pack_shard(db, index, config.bin_width);
   comm.clock().charge_compute(static_cast<double>(image.postings) *
                               seconds_per_mz);

@@ -73,13 +73,8 @@ RingService::RingService(sim::Comm& comm, const std::string& fasta_image,
   // what clip visited-band fetches to the matching record range, so the
   // counts must be exact (total() == band size ⇒ nothing saturated).
   if (routing_) {
-    std::vector<double> band_masses;
-    band_masses.reserve(band_.size());
-    for (const CandidateRecord& record : band_)
-      band_masses.push_back(record.mass);
-    const MassHistogram local_histogram =
-        MassHistogram::build(std::span<const double>(band_masses),
-                             route_bucket_da_);
+    const MassHistogram local_histogram = MassHistogram::build(
+        std::span<const CandidateRecord>(band_), route_bucket_da_);
     MSP_CHECK_MSG(local_histogram.total() == band_.size(),
                   "band histogram lost counts (saturated bucket?) — "
                   "record ranges would under-fetch");

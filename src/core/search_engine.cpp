@@ -408,15 +408,13 @@ ShardSearchStats search_open(const SearchEngine& engine,
   const FragmentView* fragment =
       shard.fragment.has_value() ? &*shard.fragment : nullptr;
   FragmentIndex local_fragment;
-  FragmentView local_view;
   if (config.candidate_source == CandidateSourceKind::kMassWindow) {
     fragment = nullptr;
   } else if (fragment == nullptr &&
              config.candidate_source == CandidateSourceKind::kFragmentIndex) {
     local_fragment = FragmentIndex::build(shard.proteins, shard.entries,
                                           shard.params, config.bin_width);
-    local_view = local_fragment.view();
-    fragment = &local_view;
+    fragment = &local_fragment.view();
   }
   if (fragment != nullptr) {
     MSP_CHECK_MSG(

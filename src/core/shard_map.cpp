@@ -19,46 +19,36 @@ constexpr std::uint32_t kHistogramVersion = 1;
 // The most buckets a grid may have: indices 0 … UINT32_MAX.
 constexpr std::uint64_t kMaxBuckets = std::uint64_t{UINT32_MAX} + 1;
 
-}  // namespace
-
-MassHistogram MassHistogram::build(const CandidateIndex& index, double width) {
-  return build(std::span<const IndexedCandidate>(index.entries()), width);
-}
-
-MassHistogram MassHistogram::build(std::span<const IndexedCandidate> entries,
-                                   double width) {
-  std::vector<double> masses;
-  masses.reserve(entries.size());
-  for (const IndexedCandidate& entry : entries) masses.push_back(entry.mass);
-  return build(std::span<const double>(masses), width);
-}
-
-MassHistogram MassHistogram::build(std::span<const double> masses,
-                                   double width) {
+/// The one-pass body over any mass-ascending array: `mass_of` reads each
+/// element's mass where it sits, so no overload copies the masses out.
+template <typename T, typename MassOf>
+MassHistogram histogram_of(std::span<const T> items, double width,
+                           const MassOf& mass_of) {
   MSP_CHECK_MSG(width > 0.0 && std::isfinite(width),
                 "histogram bucket width must be positive and finite");
   // One pass over a mass-ascending sequence: buckets come out
   // index-ascending, the grid extent fixed by the extremes.
   MassHistogram histogram;
   histogram.bucket_width = width;
-  if (masses.empty()) return histogram;
-  histogram.min_mass = masses.front();
+  if (items.empty()) return histogram;
+  histogram.min_mass = mass_of(items.front());
+  const double max_mass = mass_of(items.back());
   // Bucket indices are u32 in memory and on the wire: a grid whose last
   // index does not fit would wrap the heavy masses onto low buckets, and
   // routing and record_range would then under-cover them.
-  const double last_bucket = (masses.back() - histogram.min_mass) / width;
+  const double last_bucket = (max_mass - histogram.min_mass) / width;
   MSP_CHECK_MSG(last_bucket >= 0.0, "histogram masses must be non-decreasing");
   if (!(last_bucket < static_cast<double>(kMaxBuckets))) {
     std::ostringstream message;
     message << "histogram bucket width " << width << " Da over the mass range ["
-            << histogram.min_mass << ", " << masses.back()
+            << histogram.min_mass << ", " << max_mass
             << "] needs more than 2^32 buckets";
     throw InvalidArgument(message.str());
   }
   histogram.bucket_count = static_cast<std::uint64_t>(last_bucket) + 1;
   const auto last = static_cast<double>(histogram.bucket_count - 1);
-  for (const double mass : masses) {
-    const double offset = (mass - histogram.min_mass) / width;
+  for (const T& item : items) {
+    const double offset = (mass_of(item) - histogram.min_mass) / width;
     MSP_CHECK_MSG(offset >= 0.0, "histogram masses must be non-decreasing");
     const auto bucket = static_cast<std::uint32_t>(std::min(last, offset));
     if (!histogram.buckets.empty() &&
@@ -76,6 +66,29 @@ MassHistogram MassHistogram::build(std::span<const double> masses,
     }
   }
   return histogram;
+}
+
+}  // namespace
+
+MassHistogram MassHistogram::build(const CandidateIndex& index, double width) {
+  return build(std::span<const IndexedCandidate>(index.entries()), width);
+}
+
+MassHistogram MassHistogram::build(std::span<const IndexedCandidate> entries,
+                                   double width) {
+  return histogram_of(entries, width,
+                      [](const IndexedCandidate& entry) { return entry.mass; });
+}
+
+MassHistogram MassHistogram::build(std::span<const CandidateRecord> records,
+                                   double width) {
+  return histogram_of(
+      records, width, [](const CandidateRecord& record) { return record.mass; });
+}
+
+MassHistogram MassHistogram::build(std::span<const double> masses,
+                                   double width) {
+  return histogram_of(masses, width, [](double mass) { return mass; });
 }
 
 std::uint64_t MassHistogram::total() const {

@@ -28,6 +28,7 @@
 #include <vector>
 
 #include "core/candidate_index.hpp"
+#include "core/candidate_record.hpp"
 
 namespace msp {
 
@@ -71,10 +72,13 @@ struct MassHistogram {
   /// image's, viewed in place).
   static MassHistogram build(std::span<const IndexedCandidate> entries,
                              double width = kDefaultRouteBucketDa);
+  /// The same over a mass-ascending CandidateRecord band (the serving
+  /// ring's), read in place.
+  static MassHistogram build(std::span<const CandidateRecord> records,
+                             double width = kDefaultRouteBucketDa);
 
-  /// Summarize an ascending mass array (the serving ring's band layout:
-  /// one mass per CandidateRecord, record-array order). Same encoding as
-  /// the index overload; `masses` must be non-decreasing. Throws
+  /// Summarize an ascending mass array. Same encoding as the index
+  /// overload; `masses` must be non-decreasing. Every overload throws
   /// InvalidArgument, naming the width, when the grid would need more than
   /// 2^32 buckets (its indices are u32).
   static MassHistogram build(std::span<const double> masses,

@@ -222,9 +222,8 @@ std::span<const T> checked_array_view(std::span<const char> bytes,
 /// An array of scalars `T` stored back to back at any alignment, read by
 /// memcpy loads: element i is the sizeof(T) bytes at data + i·sizeof(T).
 /// Views the arrays of a packed image in place (its u32 runs sit at
-/// whatever offset the preceding strings left) and, through of(), the same
-/// values held in an ordinary aligned array, so one reader serves both.
-/// Borrowed: valid while the underlying bytes are.
+/// whatever offset the preceding strings left). Borrowed: valid while the
+/// underlying bytes are.
 template <typename T>
 class UnalignedSpan {
   static_assert(std::is_arithmetic_v<T>,
@@ -233,12 +232,6 @@ class UnalignedSpan {
 
  public:
   UnalignedSpan() = default;
-
-  /// The values of an aligned array, read through the same loads.
-  static UnalignedSpan of(std::span<const T> values) {
-    return UnalignedSpan(reinterpret_cast<const char*>(values.data()),
-                         values.size());
-  }
 
   /// First byte of element 0.
   const char* data() const { return data_; }

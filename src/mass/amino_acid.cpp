@@ -115,13 +115,6 @@ double peptide_mass(std::string_view sequence) {
   return mass;
 }
 
-double peptide_mass_average(std::string_view sequence) {
-  double mass = kWaterMass;  // water's average mass differs by <0.01 Da; the
-                             // monoisotopic constant is fine at our tolerances
-  for (char c : sequence) mass += residue_mass_average(c);
-  return mass;
-}
-
 double mz_from_mass(double neutral_mass, int charge) {
   MSP_CHECK_MSG(charge >= 1, "charge must be >= 1");
   return (neutral_mass + charge * kProtonMass) / charge;

@@ -35,7 +35,9 @@ double residue_mass(char c);
 /// call; any non-residue byte throws InvalidArgument, as residue_mass does.
 void residue_prefix_sums(std::string_view residues, std::vector<double>& sums);
 
-/// Average residue mass in Da (used by the average-mass search mode).
+/// Average residue mass in Da: the isotope-weighted counterpart of
+/// residue_mass. Reference data only; every search scores monoisotopic
+/// masses.
 double residue_mass_average(char c);
 
 /// Natural abundance (frequency) of each residue in UniProt, used by the
@@ -50,9 +52,6 @@ char residue_from_index(int index);
 /// Neutral monoisotopic mass of the peptide `sequence` (residues + water).
 /// Throws InvalidArgument on any non-residue character.
 double peptide_mass(std::string_view sequence);
-
-/// Average-mass variant of peptide_mass.
-double peptide_mass_average(std::string_view sequence);
 
 /// Singly-protonated m/z of a peptide with the given neutral mass & charge.
 double mz_from_mass(double neutral_mass, int charge);

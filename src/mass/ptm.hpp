@@ -24,9 +24,8 @@ struct Ptm {
 };
 
 /// Commonly searched variable modifications, for examples and benchmarks.
-Ptm ptm_phospho_st();      ///< +79.96633 on S/T (S and T registered apart)
-Ptm ptm_phospho_s();
-Ptm ptm_phospho_t();
+Ptm ptm_phospho_s();       ///< +79.96633 on S
+Ptm ptm_phospho_t();       ///< +79.96633 on T
 Ptm ptm_oxidation_m();     ///< +15.99491 on M
 Ptm ptm_acetyl_k();        ///< +42.01057 on K
 

@@ -916,14 +916,21 @@ TEST(PackDb, IndexDecoderRejectsHostileFields) {
   const CandidateIndex index = CandidateIndex::build(db, config, envelope);
   ASSERT_GT(index.size(), 3u);
   ASSERT_LT(index.entries().front().mass, index.entries().back().mass);
-  const std::vector<char> image =
-      pack_shard(db, ShardIndexes{.index = index});
+  const std::vector<char> image = pack_shard(db, index);
   ASSERT_NO_THROW(unpack_shard(image));
 
   const std::size_t index_at = 12 + pack_database(db).size();
   const std::size_t envelope_at = index_at + 13;
   const std::size_t count_at = envelope_at + 32;
   const auto entry_at = [&](std::size_t i) { return count_at + 8 + 21 * i; };
+  // An entry whose residues run past max_length, so lengthening it to
+  // max_length + 1 trips only the length-range check.
+  std::size_t long_entry = 0;
+  while (long_entry < index.size() &&
+         index.entries()[long_entry].offset + config.max_candidate_length >=
+         db.proteins[index.entries()[long_entry].protein].residues.size())
+    ++long_entry;
+  ASSERT_LT(long_entry, index.size());
   constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
   constexpr double kInf = std::numeric_limits<double>::infinity();
 
@@ -962,6 +969,15 @@ TEST(PackDb, IndexDecoderRejectsHostileFields) {
        as_bytes(std::numeric_limits<std::uint32_t>::max()),
        "offset + length"},
       {"end", entry_at(0) + 20, as_bytes(std::uint8_t{7}), "end 7"},
+      {"length 0", entry_at(0) + 16, as_bytes(std::uint32_t{0}),
+       "length 0 outside [4, 50]"},
+      {"length 1", entry_at(0) + 16, as_bytes(std::uint32_t{1}),
+       "length 1 outside [4, 50]"},
+      {"length over max", entry_at(long_entry) + 16,
+       as_bytes(static_cast<std::uint32_t>(config.max_candidate_length + 1)),
+       "length 51 outside [4, 50]"},
+      {"minimum length", index_at + 1, as_bytes(std::uint32_t{1}),
+       "minimum length 1"},
   };
   for (const Corruption& corruption : cases) {
     std::vector<char> bad = image;
@@ -987,8 +1003,9 @@ TEST(PackDb, IndexDecoderRejectsHostileFields) {
 
   // A fragment-index trailer must cover the index it ships behind.
   const FragmentIndex other = FragmentIndex::build(db, full, config.bin_width);
-  const std::vector<char> uncovered =
-      pack_shard(db, ShardIndexes{index, other, true});
+  std::vector<char> uncovered = pack_shard(db, index);
+  uncovered.insert(uncovered.end(), other.bytes().begin(),
+                   other.bytes().end());
   EXPECT_THROW(unpack_shard(uncovered), IoError);
 }
 
@@ -1003,7 +1020,7 @@ TEST(PackDb, ShardViewBorrowsThePayload) {
       FragmentIndex::build(db, index, config.bin_width);
   ASSERT_GT(fragment.posting_count(), 0u);
   const std::vector<char> image =
-      pack_shard(db, ShardIndexes{index, fragment, true});
+      pack_shard(db, index, config.bin_width).bytes;
   const ShardView view = unpack_shard(image);
 
   const char* const first = image.data();
@@ -1027,30 +1044,66 @@ TEST(PackDb, ShardViewBorrowsThePayload) {
       inside(ordinals.data(), ordinals.size() * sizeof(std::uint32_t)));
 }
 
-// The drivers' image builder scatters the fragment CSR straight into the
-// image: the bytes equal packing a separately built FragmentIndex.
-TEST(PackDb, DirectImageMatchesPackedIndexes) {
+// An open-search image is the trailer-less image followed by the fragment
+// index's MSPARFRG record: one head encoder, one CSR writer.
+TEST(PackDb, ImageIsHeadPlusFragmentRecord) {
   const ProteinDatabase db = small_db();
   const SearchConfig config = test_config();
+  const auto head_then_record = [&](const CandidateIndex& index,
+                                    const FragmentIndex& fragment) {
+    std::vector<char> bytes = pack_shard(db, index);
+    bytes.insert(bytes.end(), fragment.bytes().begin(),
+                 fragment.bytes().end());
+    return bytes;
+  };
   const CandidateIndex index = CandidateIndex::build(
       db, config, MassEnvelope{800.0, 1600.0, 3.0, 3.0});
   const FragmentIndex fragment =
       FragmentIndex::build(db, index, config.bin_width);
-  const ShardImage direct = pack_shard(db, index, config.bin_width);
-  EXPECT_EQ(direct.bytes, pack_shard(db, ShardIndexes{index, fragment, true}));
-  EXPECT_EQ(direct.postings, fragment.posting_count());
+  ASSERT_GT(fragment.posting_count(), 0u);
+  const ShardImage image = pack_shard(db, index, config.bin_width);
+  EXPECT_EQ(image.bytes, head_then_record(index, fragment));
+  EXPECT_EQ(image.postings, fragment.posting_count());
 
-  // An empty index packs an empty trailer both ways.
+  // An empty index still packs an empty trailer.
   const CandidateIndex none = CandidateIndex::build(
       db, config, MassEnvelope{1.0, 0.0, 3.0, 3.0});
   ASSERT_TRUE(none.empty());
+  const FragmentIndex empty_fragment =
+      FragmentIndex::build(db, none, config.bin_width);
+  EXPECT_FALSE(empty_fragment.bytes().empty());
+  EXPECT_EQ(empty_fragment.posting_count(), 0u);
   const ShardImage empty = pack_shard(db, none, config.bin_width);
-  EXPECT_EQ(empty.bytes,
-            pack_shard(db, ShardIndexes{none,
-                                        FragmentIndex::build(
-                                            db, none, config.bin_width),
-                                        true}));
+  EXPECT_EQ(empty.bytes, head_then_record(none, empty_fragment));
   EXPECT_EQ(empty.postings, 0u);
+  const ShardView view = unpack_shard(empty.bytes);
+  ASSERT_TRUE(view.fragment.has_value());
+  EXPECT_EQ(view.fragment->bin_count(), 0u);
+}
+
+// The image's bytes, pinned: 64-bit FNV-1a digests of small_db()'s image
+// over a clipped index, without and with the fragment trailer. A change to
+// the MSPARIDX or MSPARFRG layout, or to what the encoders write into it,
+// moves a digest.
+TEST(PackDb, ImageBytesArePinned) {
+  const ProteinDatabase db = small_db();
+  const SearchConfig config = test_config();
+  const CandidateIndex index = CandidateIndex::build(
+      db, config, MassEnvelope{800.0, 1600.0, 3.0, 3.0});
+  const auto fnv1a = [](const std::vector<char>& bytes) {
+    std::uint64_t hash = 0xcbf29ce484222325ull;
+    for (const char byte : bytes) {
+      hash ^= static_cast<unsigned char>(byte);
+      hash *= 0x100000001b3ull;
+    }
+    return hash;
+  };
+  const std::vector<char> bare = pack_shard(db, {index});
+  const std::vector<char> open = pack_shard(db, index, config.bin_width).bytes;
+  EXPECT_EQ(bare.size(), 17186u);
+  EXPECT_EQ(fnv1a(bare), 0x1ecb43767f369e75ull);
+  EXPECT_EQ(open.size(), 68095u);
+  EXPECT_EQ(fnv1a(open), 0x8f0ebae3aaad18d8ull);
 }
 
 TEST(Partition, QueryBlocksCoverExactly) {

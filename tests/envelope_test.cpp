@@ -360,7 +360,7 @@ TEST(ClippedIndex, WireRecordCarriesTheEnvelope) {
   const FragmentIndex fragment =
       FragmentIndex::build(w.db, clipped, config.bin_width);
   const std::vector<char> image =
-      pack_shard(w.db, ShardIndexes{clipped, fragment, true});
+      pack_shard(w.db, clipped, config.bin_width).bytes;
   const ShardView back = unpack_shard(image);
   ASSERT_TRUE(back.fragment.has_value());
   EXPECT_EQ(back.envelope, envelope);
@@ -373,8 +373,7 @@ TEST(ClippedIndex, WireRecordCarriesTheEnvelope) {
   EXPECT_EQ(*back.fragment, fragment.view());
   // The unclipped index round-trips its unbounded envelope too.
   const CandidateIndex full = CandidateIndex::build(w.db, config);
-  const std::vector<char> full_image =
-      pack_shard(w.db, ShardIndexes{.index = full});
+  const std::vector<char> full_image = pack_shard(w.db, full);
   EXPECT_EQ(unpack_shard(full_image).envelope, MassEnvelope{});
 }
 

@@ -12,9 +12,13 @@
 // fallback to exhaustive enumeration for legacy pack images.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <limits>
+#include <span>
 #include <string>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "core/algorithm_a.hpp"
@@ -240,7 +244,7 @@ TEST(FragmentIndexPostings, VotesEqualSharedPeakCountExactly) {
   const CandidateIndex index = CandidateIndex::build(w.db, config);
   const FragmentIndex fragment =
       FragmentIndex::build(w.db, index, config.bin_width);
-  ASSERT_EQ(fragment.candidate_count(), index.size());
+  ASSERT_EQ(fragment.view().candidate_count, index.size());
   const PreparedQueries prepared = engine.prepare(
       std::span<const Spectrum>(w.queries.data(), w.queries.size()));
 
@@ -250,8 +254,11 @@ TEST(FragmentIndexPostings, VotesEqualSharedPeakCountExactly) {
     // bins, bump every posted ordinal (with multiplicity).
     std::vector<std::uint32_t> votes(index.size(), 0);
     for (const std::uint32_t bin : occupied_bins(context.binned()))
-      for (const std::uint32_t ordinal : fragment.postings(bin))
-        ++votes[ordinal];
+    {
+      const wire::UnalignedSpan<std::uint32_t> postings =
+          fragment.view().postings(bin);
+      for (std::size_t i = 0; i < postings.size(); ++i) ++votes[postings[i]];
+    }
     // Every candidate's vote count must equal the matched-ion count the
     // exhaustive source (and the prefilter, and kSharedPeak scoring)
     // computes from the candidate's freshly built ladder.
@@ -274,9 +281,10 @@ TEST(FragmentIndexPostings, PostingListsAreOrdinalAscending) {
   const CandidateIndex index = CandidateIndex::build(w.db, config);
   const FragmentIndex fragment =
       FragmentIndex::build(w.db, index, config.bin_width);
+  const FragmentView& view = fragment.view();
   std::size_t walked = 0;
-  for (std::uint32_t bin = 0; bin < fragment.bin_count(); ++bin) {
-    const auto postings = fragment.postings(bin);
+  for (std::uint32_t bin = 0; bin < view.bin_count(); ++bin) {
+    const wire::UnalignedSpan<std::uint32_t> postings = view.postings(bin);
     for (std::size_t i = 0; i < postings.size(); ++i) {
       ASSERT_LT(postings[i], index.size()) << "bin " << bin;
       if (i > 0) {
@@ -289,6 +297,52 @@ TEST(FragmentIndexPostings, PostingListsAreOrdinalAscending) {
   EXPECT_GT(walked, index.size());  // every candidate posts several ions
 }
 
+// A FragmentIndex owns its record and the view of it. Moving one hands both
+// over together: the moved-to index views its own bytes, and the
+// moved-from one is empty. Copying is not offered, so no copy can view
+// another object's bytes.
+TEST(FragmentIndex, MovedIndexViewsItsOwnBytes) {
+  static_assert(!std::is_copy_constructible_v<FragmentIndex>);
+  static_assert(!std::is_copy_assignable_v<FragmentIndex>);
+  const Workload& w = workload();
+  const SearchConfig config = open_config();
+  const CandidateIndex index = CandidateIndex::build(w.db, config);
+  const auto views_own_bytes = [](const FragmentIndex& fragment) {
+    const std::span<const char> bytes = fragment.bytes();
+    const wire::UnalignedSpan<std::uint32_t>& ordinals =
+        fragment.view().ordinals;
+    return ordinals.data() >= bytes.data() &&
+           ordinals.data() + ordinals.size() * sizeof(std::uint32_t) <=
+               bytes.data() + bytes.size();
+  };
+  FragmentIndex built = FragmentIndex::build(w.db, index, config.bin_width);
+  const std::size_t postings = built.posting_count();
+  ASSERT_GT(postings, 0u);
+  ASSERT_TRUE(views_own_bytes(built));
+
+  FragmentIndex constructed(std::move(built));
+  EXPECT_TRUE(views_own_bytes(constructed));
+  EXPECT_EQ(constructed.posting_count(), postings);
+  EXPECT_TRUE(built.bytes().empty());
+  EXPECT_EQ(built.posting_count(), 0u);
+
+  std::vector<FragmentIndex> slots(2);
+  slots[0] = std::move(constructed);
+  slots[1] = FragmentIndex::build(w.db, index, config.bin_width * 2.0);
+  EXPECT_TRUE(views_own_bytes(slots[0]));
+  EXPECT_TRUE(views_own_bytes(slots[1]));
+  EXPECT_EQ(slots[0].posting_count(), postings);
+  EXPECT_TRUE(constructed.bytes().empty());
+  EXPECT_EQ(constructed.posting_count(), 0u);
+  slots[0] = std::move(slots[1]);  // the old record is freed, not viewed
+  EXPECT_TRUE(views_own_bytes(slots[0]));
+  EXPECT_EQ(slots[0].view().params.bin_width, config.bin_width * 2.0);
+
+  // Every posting still decodes from the bytes it lies in.
+  wire::Reader reader(slots[0].bytes().data(), slots[0].bytes().size());
+  EXPECT_EQ(get_fragment_view(reader), slots[0].view());
+}
+
 // ---------- wire format: round-trip, corruption, legacy fallback ----------
 
 TEST(FragmentIndexWire, RoundTripsThroughWriterAndPackImage) {
@@ -298,15 +352,21 @@ TEST(FragmentIndexWire, RoundTripsThroughWriterAndPackImage) {
   const FragmentIndex fragment =
       FragmentIndex::build(w.db, index, config.bin_width);
 
+  // The streaming writer lays out the record the index owns, byte for
+  // byte, and the decoder views it back unchanged.
   wire::Writer writer;
-  put_fragment_index(writer, fragment);
+  EXPECT_EQ(put_fragment_index(writer, protein_views(w.db), index.entries(),
+                               index.params(), config.bin_width),
+            fragment.posting_count());
+  EXPECT_TRUE(std::ranges::equal(writer.bytes(), fragment.bytes()));
   wire::Reader reader(writer.bytes());
   EXPECT_TRUE(peek_fragment_index(reader));
-  EXPECT_EQ(get_fragment_index(reader), fragment);
+  EXPECT_EQ(get_fragment_view(reader), fragment.view());
+  EXPECT_TRUE(reader.exhausted());
 
   // The shard image: trailer validated intact behind the index.
   const std::vector<char> image =
-      pack_shard(w.db, ShardIndexes{index, fragment, true});
+      pack_shard(w.db, index, config.bin_width).bytes;
   const ShardView shard = unpack_shard(image);
   ASSERT_TRUE(shard.fragment.has_value());
   EXPECT_EQ(*shard.fragment, fragment.view());
@@ -318,9 +378,8 @@ TEST(FragmentIndexWire, RejectsCorruptedRecords) {
   const CandidateIndex index = CandidateIndex::build(w.db, config);
   const FragmentIndex fragment =
       FragmentIndex::build(w.db, index, config.bin_width);
-  wire::Writer writer;
-  put_fragment_index(writer, fragment);
-  const std::vector<char> good = writer.bytes();
+  const std::vector<char> good(fragment.bytes().begin(),
+                               fragment.bytes().end());
 
   {  // flipped magic: peek says "no record", a forced get throws
     std::vector<char> bytes = good;
@@ -328,13 +387,13 @@ TEST(FragmentIndexWire, RejectsCorruptedRecords) {
     wire::Reader peeker(bytes);
     EXPECT_FALSE(peek_fragment_index(peeker));
     wire::Reader reader(bytes);
-    EXPECT_THROW(get_fragment_index(reader), IoError);
+    EXPECT_THROW(get_fragment_view(reader), IoError);
   }
   {  // unsupported version (u32 right after the 8-byte magic)
     std::vector<char> bytes = good;
     bytes[8] = 0x7f;
     wire::Reader reader(bytes);
-    EXPECT_THROW(get_fragment_index(reader), IoError);
+    EXPECT_THROW(get_fragment_view(reader), IoError);
   }
   // Truncation anywhere in the payload must throw, never misparse: the
   // record carries untrusted sizes, so every slice is validated against
@@ -344,7 +403,7 @@ TEST(FragmentIndexWire, RejectsCorruptedRecords) {
     std::vector<char> bytes(good.begin(),
                             good.begin() + static_cast<std::ptrdiff_t>(keep));
     wire::Reader reader(bytes);
-    EXPECT_THROW(get_fragment_index(reader), IoError) << "keep=" << keep;
+    EXPECT_THROW(get_fragment_view(reader), IoError) << "keep=" << keep;
   }
 }
 
@@ -360,9 +419,8 @@ struct CsrRecord {
 
 std::vector<char> encode(const CsrRecord& record) {
   // Magic and version exactly as put_fragment_index writes them.
-  wire::Writer header;
-  put_fragment_index(header, FragmentIndex{});
-  wire::Reader header_reader(header.bytes());
+  const FragmentIndex empty = FragmentIndex::build({}, {}, {}, 1.0);
+  wire::Reader header_reader(empty.bytes().data(), empty.bytes().size());
   wire::Writer writer;
   writer.put_u64(header_reader.get_u64());
   writer.put_u32(header_reader.get_u32());
@@ -386,14 +444,14 @@ TEST(FragmentIndexWire, RejectsBrokenCsrRecords) {
   {
     const std::vector<char> bytes = encode(CsrRecord{});
     wire::Reader reader(bytes);
-    const FragmentIndex decoded = get_fragment_index(reader);
+    const FragmentView decoded = get_fragment_view(reader);
     EXPECT_EQ(decoded.bin_count(), 2u);
     EXPECT_EQ(decoded.posting_count(), 3u);
   }
   const auto rejects = [](const CsrRecord& record, const std::string& label) {
     const std::vector<char> bytes = encode(record);
     wire::Reader reader(bytes);
-    EXPECT_THROW(get_fragment_index(reader), IoError) << label;
+    EXPECT_THROW(get_fragment_view(reader), IoError) << label;
   };
   for (const double width : {0.0, -1.0,
                              std::numeric_limits<double>::quiet_NaN(),
@@ -448,8 +506,7 @@ TEST(FragmentIndexWire, ImageWithoutFragmentFallsBackToExhaustiveSearch) {
   const CandidateIndex index = CandidateIndex::build(w.db, config);
 
   // An image packed without a fragment index has no trailer at all.
-  const std::vector<char> image =
-      pack_shard(w.db, ShardIndexes{.index = index});
+  const std::vector<char> image = pack_shard(w.db, index);
   const ShardView bare = unpack_shard(image);
   EXPECT_FALSE(bare.fragment.has_value());
 

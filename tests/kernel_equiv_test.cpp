@@ -203,8 +203,7 @@ TEST(KernelEquivalence, ShippedIndexMatchesLocalBuild) {
 
   const CandidateIndex index = CandidateIndex::build(w.db, config);
   ASSERT_FALSE(index.empty());
-  const std::vector<char> bytes =
-      pack_shard(w.db, ShardIndexes{.index = index});
+  const std::vector<char> bytes = pack_shard(w.db, index);
 
   // The shard image is self-describing and is scored where it sits.
   const ShardView shard = unpack_shard(bytes);
@@ -273,7 +272,9 @@ TEST(KernelEquivalence, ImageViewMatchesOwnedIndexes) {
                     ? FragmentIndex::build(w.db, index, config.bin_width)
                     : FragmentIndex{};
             const std::vector<char> bytes =
-                pack_shard(w.db, ShardIndexes{index, fragment, with_fragment});
+                with_fragment
+                    ? pack_shard(w.db, index, config.bin_width).bytes
+                    : pack_shard(w.db, index);
             const KernelRun viewed =
                 run_view(engine, unpack_shard(bytes), prepared);
             const KernelRun owned = run_indexed(
@@ -309,7 +310,7 @@ TEST(KernelEquivalence, ImageAtAnyOffsetSearchesIdentically) {
   const FragmentIndex fragment =
       FragmentIndex::build(w.db, index, config.bin_width);
   const std::vector<char> bytes =
-      pack_shard(w.db, ShardIndexes{index, fragment, true});
+      pack_shard(w.db, index, config.bin_width).bytes;
   const KernelRun owned =
       run_indexed(engine, w.db, prepared, &index, &fragment);
   ASSERT_GT(owned.stats.postings_scanned, 0u);

@@ -284,13 +284,8 @@ TEST(Fuzz, PackedDatabaseBitFlipsNeverCrash) {
   };
   const std::vector<std::pair<std::vector<char>, Decoder>> images = {
       {pack_database(db), as_list},
-      {pack_shard(db, ShardIndexes{.index = index}), as_shard},
-      {pack_shard(db,
-                  ShardIndexes{index,
-                               FragmentIndex::build(db, index,
-                                                    config.bin_width),
-                               true}),
-       as_shard},
+      {pack_shard(db, index), as_shard},
+      {pack_shard(db, index, config.bin_width).bytes, as_shard},
       {pack_hits({{hit, hit}, {}, {hit}}), as_hits}};
   Xoshiro256 rng(104);
   for (const auto& [bytes, decode] : images) {

@@ -655,6 +655,7 @@ TEST(RoutingWire, CorruptedCandidateRecordsAreRejected) {
     r.mass = std::numeric_limits<double>::infinity();
   });
   expect_rejected("length", [](CandidateRecord& r) { r.length = 0; });
+  expect_rejected("length", [](CandidateRecord& r) { r.length = 1; });
   expect_rejected("length", [](CandidateRecord& r) {
     r.length = sizeof(r.peptide);
   });
@@ -779,12 +780,11 @@ TEST(RoutingWire, CorruptedRecordInAStoreRangeFetchIsRejected) {
 
 TEST(RoutingWire, EachDecoderRejectsTheOtherFormat) {
   const Workload& w = workload(false);
-  const ShardIndexes indexes{
-      .index = CandidateIndex::build(w.db, make_config(0.05))};
+  const CandidateIndex index = CandidateIndex::build(w.db, make_config(0.05));
   const std::vector<char> plain = pack_database(w.db);
-  const std::vector<char> shard = pack_shard(w.db, indexes);
+  const std::vector<char> shard = pack_shard(w.db, index);
   EXPECT_EQ(unpack_database(plain).proteins.size(), w.db.proteins.size());
-  EXPECT_EQ(unpack_shard(shard).entries.size(), indexes.index.size());
+  EXPECT_EQ(unpack_shard(shard).entries.size(), index.size());
   EXPECT_THROW(unpack_shard(plain), IoError);
   EXPECT_THROW(unpack_database(shard), IoError);
 }
