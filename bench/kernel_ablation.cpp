@@ -26,6 +26,7 @@
 #include "core/candidate_index.hpp"
 #include "core/search_engine.hpp"
 #include "scoring/kernel.hpp"
+#include "scoring/likelihood.hpp"
 #include "spectra/theoretical.hpp"
 #include "util/json.hpp"
 #include "util/table.hpp"
@@ -233,15 +234,15 @@ int main(int argc, char** argv) {
     double matched_intensity = 0.0;
     std::uint64_t matched = 0;
   };
+  constexpr int kKernelSweeps = 40;  // sweeps per timed repeat (stability)
   const auto kernel_pass = [&](msp::ScoringBackend backend) {
     msp::set_scoring_backend(backend);
-    constexpr int kSweeps = 40;  // sweeps per timed repeat (timing stability)
     KernelPass best;
     for (int r = 0; r < repeats; ++r) {
       KernelPass pass;
       pass.seconds = 0.0;
       const msp::WallTimer timer;
-      for (int sweep = 0; sweep < kSweeps; ++sweep)
+      for (int sweep = 0; sweep < kKernelSweeps; ++sweep)
         for (const auto& [qi, ladder] : pairs) {
           const msp::PeakMatchStats stats =
               msp::match_ladder(prepared.contexts[qi].binned(), ladder);
@@ -266,6 +267,32 @@ int main(int argc, char** argv) {
   msp::set_scoring_backend(msp::ScoringBackend::kAuto);
   const double kernel_ratio =
       msp::simd_compiled() ? kernel_scalar.seconds / kernel_simd.seconds : 1.0;
+  const auto per_pair_ns = [&](double seconds) {
+    return seconds * 1e9 / (kKernelSweeps * static_cast<double>(pairs.size()));
+  };
+  // The match under the backend the indexed kernel ran (auto).
+  const double match_ns = per_pair_ns(
+      msp::simd_compiled() ? kernel_simd.seconds : kernel_scalar.seconds);
+
+  // The likelihood score over the same prebuilt ladders: the match (with
+  // the matched intensities it needs) plus the per-match evidence terms —
+  // everything score_pair spends on a pair under ScoreModel::kLikelihood
+  // before the top-τ offer.
+  double likelihood_seconds = std::numeric_limits<double>::infinity();
+  double likelihood_sink = 0.0;
+  for (int r = 0; r < repeats; ++r) {
+    const msp::WallTimer timer;
+    for (int sweep = 0; sweep < kKernelSweeps; ++sweep)
+      for (const auto& [qi, ladder] : pairs)
+        likelihood_sink +=
+            msp::likelihood_ratio(prepared.contexts[qi], ladder);
+    likelihood_seconds = std::min(likelihood_seconds, timer.seconds());
+  }
+  if (!(likelihood_sink == likelihood_sink)) {
+    std::cerr << "FATAL: the likelihood sample scored NaN\n";
+    return 1;
+  }
+  const double likelihood_ns = per_pair_ns(likelihood_seconds);
 
   // Ladder build: the two-step path (fragment_ions_into, then
   // build_ion_ladder — what the reference kernel runs) against the fused
@@ -298,11 +325,13 @@ int main(int argc, char** argv) {
       const msp::WallTimer timer;
       for (const std::string_view peptide : built_peptides) {
         const msp::IonLadder& ladder = build(peptide);
-        digest = digest * 31 + ladder.size;
-        for (std::size_t i = 0; i < ladder.size; ++i)
-          digest = digest * 31 + static_cast<std::uint32_t>(ladder.bins[i]);
-        for (const std::uint8_t mask : ladder.y_mask)
-          digest = digest * 31 + mask;
+        // Position-weighted terms with no chain between them: a serial
+        // per-bin hash would add its own latency to every build timed.
+        std::uint64_t bins = 0;
+        for (std::size_t i = 0; i < ladder.bins.size(); ++i)
+          bins += (i + 1) * static_cast<std::uint32_t>(ladder.bins[i]);
+        digest = (digest * 31 + ladder.size) * 31 + ladder.b_size;
+        digest = digest * 31 + bins;
       }
       best = std::min(best, timer.seconds());
     }
@@ -348,6 +377,29 @@ int main(int argc, char** argv) {
             << " candidates the indexed kernel builds): two-step "
             << ladder_two_step_ns << " ns, fused " << ladder_fused_ns
             << " ns (" << ladder_ratio << "x)\n";
+  // Attribute the fastest indexed run: its ladder builds at the fused
+  // builder's per-ladder cost, its scored pairs at the likelihood's per-pair
+  // cost (the match included); what remains is the join, the top-τ offers
+  // and the hit materialization.
+  const msp::ShardSearchStats& indexed_stats =
+      msp::simd_compiled() ? indexed_simd.stats : indexed_scalar.stats;
+  const double indexed_ms = fastest_indexed * 1e3;
+  const double ladders_ms =
+      static_cast<double>(indexed_stats.ions_built) * ladder_fused_ns * 1e-6;
+  const double likelihood_ms =
+      static_cast<double>(indexed_stats.candidates_evaluated) *
+      likelihood_ns * 1e-6;
+  const double match_ms =
+      static_cast<double>(indexed_stats.candidates_evaluated) * match_ns *
+      1e-6;
+  const double remainder_ms = indexed_ms - ladders_ms - likelihood_ms;
+  std::cout << "indexed kernel " << indexed_ms << " ms: ladders "
+            << ladders_ms << " ms (" << indexed_stats.ions_built << " x "
+            << ladder_fused_ns << " ns), likelihood " << likelihood_ms
+            << " ms (" << indexed_stats.candidates_evaluated << " x "
+            << likelihood_ns << " ns, of which match " << match_ms
+            << " ms at " << match_ns << " ns), remainder " << remainder_ms
+            << " ms (join, top-tau, hits)\n";
 
   msp::JsonWriter json;
   json.begin_object();
@@ -385,6 +437,11 @@ int main(int argc, char** argv) {
   json.field("ladder_two_step_ns", ladder_two_step_ns);
   json.field("ladder_fused_ns", ladder_fused_ns);
   json.field("ladder_fused_over_two_step", ladder_ratio);
+  json.field("match_ns", match_ns);
+  json.field("likelihood_ns", likelihood_ns);
+  json.field("indexed_ladders_ms", ladders_ms);
+  json.field("indexed_likelihood_ms", likelihood_ms);
+  json.field("indexed_remainder_ms", remainder_ms);
   for (const auto& [threads, seconds] : threaded) {
     json.field("indexed_seconds_t" + std::to_string(threads), seconds);
     json.field("speedup_t" + std::to_string(threads),

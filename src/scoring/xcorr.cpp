@@ -47,16 +47,15 @@ double xcorr_reference(const BinnedSpectrum& binned,
   const auto n = static_cast<std::int64_t>(x.size());
   double at_zero = 0.0;
   double shifted_total = 0.0;
-  for (std::size_t entry = 0; entry < ladder.size; ++entry) {
-    const std::int64_t bin = ladder.bins[entry];
-    if (bin < 0 || bin >= n) continue;
+  for_each_ladder_bin(ladder, [&](std::int64_t bin) {
+    if (bin < 0 || bin >= n) return;
     at_zero += x[static_cast<std::size_t>(bin)];
     for (int tau = -half_window; tau <= half_window; ++tau) {
       if (tau == 0) continue;
       const std::int64_t j = bin + tau;
       if (j >= 0 && j < n) shifted_total += x[static_cast<std::size_t>(j)];
     }
-  }
+  });
   return at_zero - shifted_total / (2.0 * static_cast<double>(half_window));
 }
 

@@ -4,7 +4,9 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <functional>
 #include <limits>
+#include <span>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -174,7 +176,7 @@ TEST(Ladder, FusedBuilderMatchesTwoStep) {
       const IonLadder& got = build_peptide_ladder(peptide, width, fused);
       const IonLadder& want = two_step.ladder;
       ASSERT_EQ(got.bins, want.bins) << peptide << " @ " << width;
-      ASSERT_EQ(got.y_mask, want.y_mask) << peptide << " @ " << width;
+      ASSERT_EQ(got.b_size, want.b_size) << peptide << " @ " << width;
       ASSERT_EQ(got.size, want.size) << peptide << " @ " << width;
       ASSERT_EQ(got.total_ions, want.total_ions) << peptide << " @ " << width;
       clamped += std::count(got.bins.begin(), got.bins.end(),
@@ -193,6 +195,100 @@ TEST(Ladder, FusedBuilderMatchesTwoStep) {
   EXPECT_THROW(build_peptide_ladder("A", kDefaultBinWidth, fused),
                InvalidArgument);
   EXPECT_THROW(build_peptide_ladder("AC", 0.0, fused), InvalidArgument);
+}
+
+// A bin both series reach belongs to the first ion in m/z order — the b ion
+// on equal m/z — and to that ion's stream only. Random peptides give shared
+// bins with the b ion lighter and with the y ion lighter; an exact m/z tie
+// needs hand-built ions.
+TEST(Ladder, SharedBinGoesToTheFirstIon) {
+  Xoshiro256 rng(77);
+  std::size_t b_first = 0;
+  std::size_t y_first = 0;
+  FragmentIonWorkspace two_step;
+  FragmentIonWorkspace fused;
+  for (const double width : {kDefaultBinWidth, 4.0}) {
+    for (int trial = 0; trial < 600; ++trial) {
+      std::string peptide(6 + rng.bounded(30), 'A');
+      for (char& c : peptide)
+        c = kResidueAlphabet[rng.bounded(kResidueAlphabet.size())];
+      const std::vector<FragmentIon>& ions =
+          fragment_ions_into(peptide, {}, two_step);
+      const IonLadder& ladder = build_peptide_ladder(peptide, width, fused);
+      const std::span<const std::int32_t> b = ladder.b_stream();
+      const std::span<const std::int32_t> y = ladder.y_stream();
+      for (std::size_t k = 0; k < ions.size(); ++k) {
+        const auto bin = static_cast<std::int32_t>(ions[k].mz / width);
+        // The first ion of its bin on the m/z-sorted list claims it.
+        if (k > 0 && static_cast<std::int32_t>(ions[k - 1].mz / width) == bin)
+          continue;
+        bool other_type = false;
+        for (std::size_t l = k + 1; l < ions.size() &&
+                                    static_cast<std::int32_t>(ions[l].mz /
+                                                              width) == bin;
+             ++l)
+          other_type |= ions[l].type != ions[k].type;
+        const bool in_b = std::binary_search(b.begin(), b.end(), bin);
+        const bool in_y = std::binary_search(y.begin(), y.end(), bin);
+        ASSERT_NE(in_b, in_y) << peptide << " bin " << bin;
+        ASSERT_EQ(in_y, ions[k].type == FragmentIon::Type::kY)
+            << peptide << " bin " << bin;
+        if (other_type) ++(in_b ? b_first : y_first);
+      }
+    }
+  }
+  EXPECT_GT(b_first, 0u) << "no shared bin with the b ion first";
+  EXPECT_GT(y_first, 0u) << "no shared bin with the y ion first";
+
+  // Equal m/z: the b ion comes first on the sorted list and claims the bin.
+  IonLadder tie;
+  build_ion_ladder({{500.25, FragmentIon::Type::kB, 4},
+                    {500.25, FragmentIon::Type::kY, 3}},
+                   kDefaultBinWidth, tie);
+  EXPECT_EQ(tie.size, 1u);
+  EXPECT_EQ(tie.b_size, 1u);
+  EXPECT_EQ(tie.total_ions, 2u);
+}
+
+// The shortest peptide (one cut) and a 63-residue one, on the default grid
+// and on one so fine that the heavy ions clamp to INT32_MAX (where every
+// clamped ion of a series shares one bin): fused equals two-step, and the
+// streams stay ascending and disjoint.
+TEST(Ladder, ExtremeLengthsAndClampedBins) {
+  Xoshiro256 rng(63);
+  std::string long_peptide(63, 'A');
+  for (char& c : long_peptide)
+    c = kResidueAlphabet[rng.bounded(kResidueAlphabet.size())];
+  FragmentIonWorkspace two_step;
+  FragmentIonWorkspace fused;
+  std::size_t clamped = 0;
+  for (const std::string& peptide :
+       {std::string("GA"), std::string("WW"), long_peptide}) {
+    for (const double width : {kDefaultBinWidth, 1e-6}) {
+      build_ion_ladder(fragment_ions_into(peptide, {}, two_step), width,
+                       two_step.ladder);
+      const IonLadder& got = build_peptide_ladder(peptide, width, fused);
+      const IonLadder& want = two_step.ladder;
+      ASSERT_EQ(got.bins, want.bins) << peptide << " @ " << width;
+      ASSERT_EQ(got.b_size, want.b_size) << peptide << " @ " << width;
+      ASSERT_EQ(got.size, want.size) << peptide << " @ " << width;
+      ASSERT_EQ(got.total_ions, 2 * (peptide.size() - 1));
+      for (const std::span<const std::int32_t> stream :
+           {got.b_stream(), got.y_stream()})
+        ASSERT_TRUE(std::adjacent_find(stream.begin(), stream.end(),
+                                       std::greater_equal<>()) ==
+                    stream.end())
+            << peptide << " @ " << width << ": a stream does not ascend";
+      for (const std::int32_t bin : got.b_stream())
+        ASSERT_FALSE(std::binary_search(got.y_stream().begin(),
+                                        got.y_stream().end(), bin))
+            << peptide << " @ " << width << ": bin " << bin << " in both";
+      clamped += static_cast<std::size_t>(std::count(
+          got.bins.begin(), got.bins.end(),
+          std::numeric_limits<std::int32_t>::max()));
+    }
+  }
+  EXPECT_GT(clamped, 0u) << "no ladder reached the INT32_MAX clamp";
 }
 
 TEST(Theoretical, ModelSpectrumWeightsYOverB) {
