@@ -3,9 +3,14 @@
 // seconds_per_candidate against the real (host) cost of each stage.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+#include <cmath>
 #include <optional>
+#include <utility>
+#include <vector>
 
 #include "core/candidate_index.hpp"
+#include "core/candidate_source.hpp"
 #include "core/fragment_index.hpp"
 #include "core/search_engine.hpp"
 #include "dbgen/protein_gen.hpp"
@@ -210,6 +215,61 @@ void BM_FragmentIndexBuild(benchmark::State& state) {
   state.SetComplexityN(state.range(0));
 }
 BENCHMARK(BM_FragmentIndexBuild)->Arg(250)->Arg(500)->Arg(1000)->Complexity();
+
+// The open-search vote: FragmentIndexCandidateSource::collect over every
+// hypothesis of a prepared query set, in mass order, as one kernel block
+// runs it (±200 Da, vote gate 4). A fresh source per pass, so each pass
+// walks the posting lists from their starts.
+void BM_FragmentVote(benchmark::State& state) {
+  ProteinGenOptions db_options;
+  db_options.sequence_count = static_cast<std::size_t>(state.range(0));
+  const ProteinDatabase db = generate_proteins(db_options);
+  QueryGenOptions q_options;
+  q_options.query_count = 64;
+  const std::vector<Spectrum> queries =
+      spectra_of(generate_queries(db, q_options));
+  SearchConfig config;
+  config.open_window_da = 200.0;
+  config.min_fragment_votes = 4;
+  const SearchEngine engine(config);
+  const PreparedQueries prepared = engine.prepare(queries);
+  const CandidateIndex index = CandidateIndex::build(db, config);
+  const FragmentIndex fragment =
+      FragmentIndex::build(db, index, config.bin_width);
+  const std::span<const IndexedCandidate> entries = index.entries();
+  const auto ordinal_of = [&entries](double mass) {
+    return static_cast<std::size_t>(
+        std::lower_bound(entries.begin(), entries.end(), mass,
+                         [](const IndexedCandidate& entry, double m) {
+                           return entry.mass < m;
+                         }) -
+        entries.begin());
+  };
+  std::vector<std::pair<std::size_t, std::size_t>> windows;
+  for (const double mass : prepared.sorted_masses)
+    windows.emplace_back(ordinal_of(mass - config.window_below()),
+                         ordinal_of(std::nextafter(
+                             mass + config.window_above(), HUGE_VAL)));
+
+  std::uint64_t postings = 0;
+  std::vector<std::uint32_t> survivors;
+  for (auto _ : state) {
+    FragmentIndexCandidateSource source(fragment.view(), config.vote_gate());
+    ShardSearchStats stats;
+    for (std::size_t k = 0; k < windows.size(); ++k) {
+      const std::uint32_t q = prepared.order[k];
+      source.collect(prepared.contexts[q], prepared.occupied[q],
+                     windows[k].first, windows[k].second, survivors, stats);
+      benchmark::DoNotOptimize(survivors.data());
+    }
+    benchmark::ClobberMemory();
+    postings += stats.postings_scanned;
+  }
+  state.counters["postings/s"] = benchmark::Counter(
+      static_cast<double>(postings), benchmark::Counter::kIsRate);
+  state.SetComplexityN(state.range(0));
+}
+BENCHMARK(BM_FragmentVote)->Arg(250)->Arg(500)->Arg(1000)->Complexity();
 
 void BM_PrepareQuery(benchmark::State& state) {
   SearchConfig config;

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "scoring/shared_peak.hpp"
+#include "util/error.hpp"
 
 namespace msp {
 
@@ -29,35 +30,71 @@ void MassWindowCandidateSource::collect(
   }
 }
 
+namespace {
+
+/// The first position at or past `from` whose ordinal in `list` is at
+/// least `target` (list.size() when none is), given that every position
+/// before `from` holds a smaller one: one probe, then exponential steps and
+/// a binary search of the last step.
+std::uint32_t gallop(const wire::UnalignedSpan<std::uint32_t>& list,
+                     std::uint32_t from, std::uint32_t target) {
+  const std::size_t end = list.size();
+  if (from == end || list[from] >= target) return from;
+  std::size_t below = from;  // list[below] < target
+  std::size_t probe = below + 1;
+  for (std::size_t step = 1; probe < end && list[probe] < target; step *= 2) {
+    below = probe;
+    probe = below + step;
+  }
+  std::size_t lo = below + 1;
+  std::size_t hi = std::min(probe, end);
+  while (lo < hi) {
+    const std::size_t mid = lo + (hi - lo) / 2;
+    if (list[mid] < target)
+      lo = mid + 1;
+    else
+      hi = mid;
+  }
+  return static_cast<std::uint32_t>(lo);
+}
+
+}  // namespace
+
+FragmentIndexCandidateSource::FragmentIndexCandidateSource(
+    const FragmentView& fragment, std::size_t vote_gate)
+    : fragment_(fragment),
+      vote_gate_(vote_gate),
+      votes_(fragment.candidate_count, 0),
+      cursors_(fragment.bin_count()) {
+  MSP_CHECK_MSG(vote_gate >= 1, "the fragment-index vote gate must be >= 1");
+}
+
 void FragmentIndexCandidateSource::collect(
     const QueryContext& /*context*/,
     std::span<const std::uint32_t> occupied_bins, std::size_t ordinal_lo,
     std::size_t ordinal_hi, std::vector<std::uint32_t>& out,
     ShardSearchStats& stats) {
+  MSP_CHECK_MSG(ordinal_lo >= last_lo_ && ordinal_hi >= last_hi_,
+                "fragment-index windows must ascend within one source");
+  last_lo_ = ordinal_lo;
+  last_hi_ = ordinal_hi;
   out.clear();
   const auto lo = static_cast<std::uint32_t>(ordinal_lo);
   const auto hi = static_cast<std::uint32_t>(ordinal_hi);
   for (const std::uint32_t bin : occupied_bins) {
+    if (bin >= cursors_.size()) continue;  // out of the grid: no postings
     const wire::UnalignedSpan<std::uint32_t> list = fragment_.postings(bin);
-    // Posting lists are ordinal-ascending (= mass-ascending), so the
-    // precursor window restricts each to one contiguous slice.
-    for (std::size_t i = list.lower_bound(lo); i < list.size(); ++i) {
-      const std::uint32_t ordinal = list[i];
-      if (ordinal >= hi) break;
-      ++stats.postings_scanned;
-      if (votes_[ordinal] == 0) touched_.push_back(ordinal);
-      ++votes_[ordinal];
-    }
+    Cursor& cursor = cursors_[bin];
+    cursor.lo = gallop(list, cursor.lo, lo);
+    cursor.hi = gallop(list, std::max(cursor.hi, cursor.lo), hi);
+    for (std::uint32_t i = cursor.lo; i < cursor.hi; ++i) ++votes_[list[i]];
+    stats.postings_scanned += cursor.hi - cursor.lo;
   }
-  for (const std::uint32_t ordinal : touched_)
+  // Ascending ordinals, the order the exhaustive source visits them in.
+  for (std::uint32_t ordinal = lo; ordinal < hi; ++ordinal) {
     if (votes_[ordinal] >= vote_gate_) out.push_back(ordinal);
-  // Touch order is bin order, not ordinal order: restore the ascending
-  // visit order the exhaustive source produces so the scoring loops offer
-  // hits identically (TopK is order-invariant, but determinism is easier
-  // to see — and to test — with one canonical order).
-  std::sort(out.begin(), out.end());
-  for (const std::uint32_t ordinal : touched_) votes_[ordinal] = 0;
-  touched_.clear();
+    votes_[ordinal] = 0;
+  }
 }
 
 std::vector<std::uint32_t> occupied_bins(const BinnedSpectrum& binned) {

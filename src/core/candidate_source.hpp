@@ -14,15 +14,16 @@
 //    fragment index (the serial engine).
 //  - FragmentIndexCandidateSource: walks the query's occupied bins through
 //    the shard's fragment-index postings (a FragmentView, read where they
-//    live), accumulating per-candidate vote
-//    counts without touching non-matching candidates at all.
+//    live), counting per-candidate votes without touching non-matching
+//    candidates at all.
 //
 // Both compute the *identical* integer votes (shared_peak_count over the
 // same default b/y ladder and the same global bin grid) and apply the
 // identical gate, so they admit the identical candidate set — the kernel
 // above them then produces bit-identical hits whichever source is plugged
 // in. A source instance is per-thread scratch: collect() mutates internal
-// state and must not be shared across the kernel fan-out.
+// state (the indexed source's cursors follow one ascending run of windows)
+// and must not be shared across the kernel fan-out.
 #pragma once
 
 #include <cstdint>
@@ -82,21 +83,32 @@ class MassWindowCandidateSource final : public CandidateSource {
   FragmentIonWorkspace workspace_;
 };
 
-/// Indexed open search: accumulate votes by scanning the postings of the
-/// query's occupied bins, restricted to the ordinal window (posting lists
-/// are ordinal-ascending, so the restriction is one binary search per bin).
-/// Candidates sharing no bin with the query are never touched — the
-/// 100–1000x candidate inflation of the open window costs postings scans,
-/// not ion builds.
+/// Indexed open search: accumulate votes by counting the postings of the
+/// query's occupied bins that fall in the ordinal window, then gate.
+///
+/// One source serves one ascending run of hypotheses (a kernel block), and
+/// its successive windows never move down: both ends ascend with the
+/// hypothesis mass. So each posting list (ordinal-ascending) is walked only
+/// forward. Per bin, two cursors mark the first posting at or above the last
+/// window's lo and hi; each call gallops them forward to its own window
+/// (a probe, then exponential steps and a binary search, so a block that
+/// starts mid-sequence pays O(log) per bin), and the postings between them
+/// are counted into a dense per-ordinal array with no per-posting test. One
+/// ascending scan of the window then emits the gated ordinals and zeroes the
+/// counts. `postings_scanned` counts the in-window postings of the occupied
+/// bins. Candidates sharing no bin with the query are never counted — the
+/// 100–1000x candidate inflation of the open window costs postings, not ion
+/// builds.
 class FragmentIndexCandidateSource final : public CandidateSource {
  public:
+  /// `vote_gate` must be at least 1: the window scan emits only counted
+  /// candidates because a zero count never reaches the gate.
   FragmentIndexCandidateSource(const FragmentView& fragment,
-                               std::size_t vote_gate)
-      : fragment_(fragment),
-        vote_gate_(vote_gate),
-        votes_(fragment.candidate_count, 0) {}
+                               std::size_t vote_gate);
 
   bool ions_prebuilt() const override { return false; }
+  /// The window [ordinal_lo, ordinal_hi) must not lie below the previous
+  /// call's: neither end may decrease (MSP_CHECK).
   void collect(const QueryContext& context,
                std::span<const std::uint32_t> occupied_bins,
                std::size_t ordinal_lo, std::size_t ordinal_hi,
@@ -104,10 +116,19 @@ class FragmentIndexCandidateSource final : public CandidateSource {
                ShardSearchStats& stats) override;
 
  private:
+  /// Positions in one bin's posting list (whose length the record stores
+  /// as a u32): its first ordinal at or above the last window's lo and hi.
+  struct Cursor {
+    std::uint32_t lo = 0;
+    std::uint32_t hi = 0;
+  };
+
   const FragmentView& fragment_;
   std::size_t vote_gate_;
-  std::vector<std::uint32_t> votes_;     ///< per-ordinal scratch, reset per call
-  std::vector<std::uint32_t> touched_;   ///< ordinals with nonzero votes
+  std::vector<std::uint32_t> votes_;  ///< per ordinal; zero outside a call
+  std::vector<Cursor> cursors_;       ///< per bin
+  std::size_t last_lo_ = 0;
+  std::size_t last_hi_ = 0;
 };
 
 /// The occupied-bin list collect() wants: every global bin of `binned` with

@@ -52,6 +52,7 @@ PreparedQueries SearchEngine::prepare(std::span<const Spectrum> queries) const {
   prepared.spectra.reserve(queries.size());
   prepared.contexts.reserve(queries.size());
   prepared.masses.reserve(queries.size());
+  if (config_.open_search()) prepared.occupied.reserve(queries.size());
   // Each query contributes one (mass, query) search entry per parent-mass
   // hypothesis: just the reported charge by default, or one per charge in
   // charge_hypotheses when alternate-charge search is on.
@@ -74,6 +75,9 @@ PreparedQueries SearchEngine::prepare(std::span<const Spectrum> queries) const {
     // prepare()) share one per-query build.
     if (config_.model == ScoreModel::kXcorr)
       prepared.contexts.back().enable_xcorr();
+    if (config_.open_search())
+      prepared.occupied.push_back(
+          occupied_bins(prepared.contexts.back().binned()));
     prepared.spectra.push_back(std::move(cleaned));
   }
   std::sort(entries.begin(), entries.end());
@@ -429,14 +433,11 @@ ShardSearchStats search_open(const SearchEngine& engine,
   const std::size_t hypotheses = queries.sorted_masses.size();
   if (hypotheses == 0 || shard.entries.empty()) return {};
 
-  // The query-side half of the inverted lookup, shared read-only across the
-  // fan-out. Skipped entirely on the exhaustive path.
-  std::vector<std::vector<std::uint32_t>> occupied;
-  if (fragment != nullptr) {
-    occupied.reserve(queries.contexts.size());
-    for (const QueryContext& context : queries.contexts)
-      occupied.push_back(occupied_bins(context.binned()));
-  }
+  // The query-side half of the inverted lookup, built once by prepare().
+  MSP_CHECK_MSG(fragment == nullptr ||
+                    queries.occupied.size() == queries.contexts.size(),
+                "open-search queries must come from an open-search "
+                "engine's prepare()");
 
   const double below = config.window_below();
   const double above = config.window_above();
@@ -484,7 +485,7 @@ ShardSearchStats search_open(const SearchEngine& engine,
 
       source.collect(queries.contexts[q],
                      fragment != nullptr
-                         ? std::span<const std::uint32_t>(occupied[q])
+                         ? std::span<const std::uint32_t>(queries.occupied[q])
                          : std::span<const std::uint32_t>(),
                      lo, hi, survivors, stats);
 

@@ -56,6 +56,9 @@ struct PreparedQueries {
   std::vector<double> masses;          ///< reported parent mass, query order
   std::vector<std::uint32_t> order;    ///< entry k → query index
   std::vector<double> sorted_masses;  ///< entry k → hypothesis mass, rising
+  /// Open search only (empty otherwise): each query's occupied_bins(), the
+  /// query-side half of the fragment-index lookup, in query order.
+  std::vector<std::vector<std::uint32_t>> occupied;
 
   std::size_t size() const { return spectra.size(); }
   double min_mass() const;  ///< the paper's m(q)_min (0 when empty)

@@ -245,20 +245,6 @@ class UnalignedSpan {
   UnalignedSpan subspan(std::size_t offset, std::size_t count) const {
     return UnalignedSpan(data_ + offset * sizeof(T), count);
   }
-  /// First position whose element is not less than `value` (the array
-  /// must be ascending), as std::lower_bound.
-  std::size_t lower_bound(T value) const {
-    std::size_t lo = 0;
-    std::size_t hi = size_;
-    while (lo < hi) {
-      const std::size_t mid = lo + (hi - lo) / 2;
-      if ((*this)[mid] < value)
-        lo = mid + 1;
-      else
-        hi = mid;
-    }
-    return lo;
-  }
 
  private:
   UnalignedSpan(const char* data, std::size_t size)

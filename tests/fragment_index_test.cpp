@@ -297,6 +297,121 @@ TEST(FragmentIndexPostings, PostingListsAreOrdinalAscending) {
   EXPECT_GT(walked, index.size());  // every candidate posts several ions
 }
 
+// ---------- the indexed source's forward walk vs a brute-force vote ----------
+
+// FragmentIndexCandidateSource walks each posting list forward with per-bin
+// cursors over one ascending run of windows, counting into a dense window.
+// Every step of such a run is compared with a vote over the full posting
+// lists: the survivors in order, at several gates, and the postings
+// counted. A second source starts halfway, as a kernel_threads block does.
+TEST(FragmentIndexSource, CollectMatchesBruteForce) {
+  const Workload& w = workload();
+  const SearchConfig config = open_config();
+  const SearchEngine engine(config);
+  const CandidateIndex index = CandidateIndex::build(w.db, config);
+  const FragmentIndex fragment =
+      FragmentIndex::build(w.db, index, config.bin_width);
+  const FragmentView& view = fragment.view();
+  const PreparedQueries prepared = engine.prepare(
+      std::span<const Spectrum>(w.queries.data(), w.queries.size()));
+  ASSERT_EQ(prepared.occupied.size(), prepared.size());
+  const auto n = static_cast<std::uint32_t>(index.size());
+  ASSERT_GT(n, 64u);
+
+  // Ascending windows: neither end ever decreases. Empty windows
+  // interleave, windows repeat (repeated masses), the run touches ordinal 0
+  // and the last ordinal, one window holds one candidate, and the windows
+  // after an empty one start past the previous window's end (the cursors
+  // jump).
+  std::vector<std::pair<std::uint32_t, std::uint32_t>> windows = {
+      {0, 0}, {0, 1}, {0, 1}, {0, 9}, {0, 9}, {2, 9}, {9, 9}};
+  const auto add = [&windows](std::uint32_t lo, std::uint32_t hi) {
+    lo = std::max(lo, windows.back().first);
+    windows.emplace_back(lo, std::max({hi, lo, windows.back().second}));
+  };
+  for (std::uint32_t lo = 9; lo + 80 < n; lo += 1 + lo % 23) {
+    add(lo, lo + lo % 41);
+    if (lo % 3 == 0) windows.push_back(windows.back());
+    if (lo % 5 == 0) {
+      const std::uint32_t end = windows.back().second;
+      add(end, end);
+      if (lo % 2 == 0) add(end, end);  // a repeated empty window
+    }
+  }
+  add(n - 30, n);
+  add(n - 1, n);
+  add(n - 1, n);
+  add(n, n);
+  for (std::size_t k = 1; k < windows.size(); ++k) {
+    ASSERT_LE(windows[k - 1].first, windows[k].first) << k;
+    ASSERT_LE(windows[k - 1].second, windows[k].second) << k;
+  }
+
+  // Each step's occupied bins: a query's own list, and on every third step
+  // also bins at and past bin_count(), which the index does not hold.
+  std::vector<std::vector<std::uint32_t>> bins(windows.size());
+  for (std::size_t k = 0; k < windows.size(); ++k) {
+    bins[k] = prepared.occupied[k % prepared.size()];
+    if (k % 3 == 0)
+      for (const std::uint32_t past : {0u, 1u, 57u})
+        bins[k].push_back(view.bin_count() + past);
+  }
+
+  // The brute-force vote of step k: every posting of every listed bin,
+  // counted when its ordinal lies in the window.
+  std::uint32_t max_votes = 0;
+  std::vector<std::vector<std::uint32_t>> votes(windows.size());
+  std::vector<std::uint64_t> in_window(windows.size(), 0);
+  for (std::size_t k = 0; k < windows.size(); ++k) {
+    const auto [lo, hi] = windows[k];
+    votes[k].assign(hi - lo, 0);
+    for (const std::uint32_t bin : bins[k]) {
+      const wire::UnalignedSpan<std::uint32_t> list = view.postings(bin);
+      for (std::size_t i = 0; i < list.size(); ++i) {
+        if (list[i] < lo || list[i] >= hi) continue;
+        ++votes[k][list[i] - lo];
+        ++in_window[k];
+      }
+    }
+    for (const std::uint32_t v : votes[k]) max_votes = std::max(max_votes, v);
+  }
+  ASSERT_GE(max_votes, 4u);
+
+  const QueryContext& context = prepared.contexts.front();
+  for (const std::size_t gate : {std::size_t{1}, std::size_t{4},
+                                 std::size_t{max_votes} + 1}) {
+    std::size_t survivors_seen = 0;
+    FragmentIndexCandidateSource whole(view, gate);
+    FragmentIndexCandidateSource second_half(view, gate);
+    for (const std::size_t first : {std::size_t{0}, windows.size() / 2}) {
+      FragmentIndexCandidateSource& source = first == 0 ? whole : second_half;
+      for (std::size_t k = first; k < windows.size(); ++k) {
+        const auto [lo, hi] = windows[k];
+        std::vector<std::uint32_t> want;
+        for (std::uint32_t c = lo; c < hi; ++c)
+          if (votes[k][c - lo] >= gate) want.push_back(c);
+        std::vector<std::uint32_t> got = {7};  // collect clears it first
+        ShardSearchStats stats;
+        source.collect(context, bins[k], lo, hi, got, stats);
+        ASSERT_EQ(got, want) << "gate " << gate << " first " << first
+                             << " step " << k << " [" << lo << ", " << hi
+                             << ")";
+        ASSERT_EQ(stats.postings_scanned, in_window[k])
+            << "gate " << gate << " first " << first << " step " << k;
+        survivors_seen += want.size();
+      }
+    }
+    if (gate <= 4) {
+      EXPECT_GT(survivors_seen, 0u) << "gate " << gate;
+    }
+    // A window below the last one is refused, not walked backwards.
+    std::vector<std::uint32_t> out;
+    ShardSearchStats stats;
+    EXPECT_THROW(whole.collect(context, bins[0], 0, 1, out, stats),
+                 InvalidArgument);
+  }
+}
+
 // A FragmentIndex owns its record and the view of it. Moving one hands both
 // over together: the moved-to index views its own bytes, and the
 // moved-from one is empty. Copying is not offered, so no copy can view
